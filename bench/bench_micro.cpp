@@ -16,7 +16,6 @@
 #include "local/ball.hpp"
 #include "local/ball_cache.hpp"
 #include "local/workspace.hpp"
-#include "support/cachectl.hpp"
 #include "support/parallel.hpp"
 
 namespace {
@@ -60,15 +59,14 @@ void BM_CliqueForestBuild(benchmark::State& state) {
 BENCHMARK(BM_CliqueForestBuild)->Range(256, 16384)->Complexity();
 
 void BM_CliqueForestBuildReference(benchmark::State& state) {
-  // CHORDAL_FOREST_REFERENCE path: sorted-merge intersection weights,
-  // comparator-based edge sort. The gap to BM_CliqueForestBuild is the
-  // counting-sort engine's construction win.
+  // The reference oracle, called directly on the extracted cliques:
+  // sorted-merge intersection weights, comparator-based edge sort. The gap
+  // to BM_CliqueForestBuild is the counting-sort engine's construction win.
   auto gen = workload(static_cast<int>(state.range(0)));
-  support::set_forest_reference(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CliqueForest::build(gen.graph));
+    benchmark::DoNotOptimize(max_weight_spanning_forest_reference(
+        maximal_cliques_chordal(gen.graph), gen.graph.num_vertices()));
   }
-  support::set_forest_reference(-1);
   state.SetComplexityN(gen.graph.num_vertices());
 }
 BENCHMARK(BM_CliqueForestBuildReference)->Range(256, 16384)->Complexity();
@@ -161,8 +159,8 @@ void BM_BallCollectionCached(benchmark::State& state) {
   // peel iteration, so this cycles over 64 fixed centers at a fixed radius
   // with no deactivations - after the first lap every lookup is a pure
   // cache hit. The hits/misses counters land in the --benchmark JSON as the
-  // cache-effectiveness record. CHORDAL_BALL_CACHE=0 turns this into the
-  // uncached workspace path (before/after evidence in one binary).
+  // cache-effectiveness record; BM_BallCollectionWorkspace is the uncached
+  // baseline.
   auto gen = workload(2048);
   local::BallCache cache(gen.graph);
   const int n = gen.graph.num_vertices();

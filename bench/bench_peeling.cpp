@@ -6,10 +6,8 @@
 // Lemma 12): peel_with_local_decisions and the local-decision audits, which
 // re-derive every node's layer decision from its ball at every iteration.
 // Each driver runs inside its own span, so the --json report carries
-// per-driver wall_ms; together with the cache.* counters this is the
-// before/after evidence for the cross-iteration ball cache
-// (CHORDAL_BALL_CACHE=0 forces the uncached recompute path; every table
-// cell is cache-independent by construction).
+// per-driver wall_ms, next to the cache.* counters of the cross-iteration
+// ball cache (every table cell is cache-independent by construction).
 #include <cmath>
 
 #include "bench_common.hpp"

@@ -2,21 +2,17 @@
 # Runs the experiment benches at their pinned seeds (the seeds are baked
 # into the bench sources) and writes canonical BENCH_*.json files at the
 # repo root. With a suffix argument the files become BENCH_<NAME>_<SUFFIX>
-# .json, which is how the cached/uncached evidence pairs are produced:
+# .json, e.g. to set a run of another checkout beside the canonical set:
 #
-#   CHORDAL_BALL_CACHE=0 scripts/bench_all.sh UNCACHED
-#   CHORDAL_BALL_CACHE=1 scripts/bench_all.sh CACHED
-#   scripts/bench_diff.py BENCH_PEELING_UNCACHED.json BENCH_PEELING_CACHED.json
+#   OUT_DIR=/tmp/cmp scripts/bench_all.sh OTHER
+#   scripts/bench_diff.py BENCH_PEELING.json /tmp/cmp/BENCH_PEELING_OTHER.json
 #
-# The forest-engine evidence pairs are produced the same way with the
-# CHORDAL_FOREST_REFERENCE gate:
+# The before/after numbers of the cache and forest-engine changes live in
+# CHANGES.md and EXPERIMENTS.md (E12, E13); the library has one production
+# path per concern, so there is no switch to regenerate them from.
 #
-#   CHORDAL_FOREST_REFERENCE=1 scripts/bench_all.sh BEFORE
-#   scripts/bench_all.sh AFTER
-#   scripts/bench_diff.py BENCH_FOREST_BEFORE.json BENCH_FOREST_AFTER.json
-#
-# Environment variables (CHORDAL_BALL_CACHE, CHORDAL_FOREST_REFERENCE,
-# CHORDAL_THREADS) pass through to the benches. BUILD_DIR overrides the
+# Environment variables (CHORDAL_THREADS, CHORDAL_NET_MODEL,
+# CHORDAL_CONGEST_B) pass through to the benches. BUILD_DIR overrides the
 # build tree (default: build-release, configured and built on demand) and
 # OUT_DIR the output directory (default: the repo root — set it to a
 # scratch directory for throwaway runs, e.g. the bench-gate step of

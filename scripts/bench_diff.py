@@ -7,16 +7,14 @@ benchmark of a google-benchmark JSON file (name, cpu_time), matched by name,
 with absolute and relative change.
 
 --parity mode instead checks that the two files are byte-equivalent once
-timing fields and cache-effectiveness metadata are scrubbed: wall_ms on
-spans, real/cpu times and run metadata on google-benchmark output, and every
-cache.* counter/gauge/histogram (the cached run publishes those, the
-uncached run does not) and every engine.* counter (allocation accounting
-that differs between the fast and CHORDAL_FOREST_REFERENCE forest
-engines) - they are effectiveness telemetry, not output. The telemetry
+timing fields and effectiveness metadata are scrubbed: wall_ms on spans,
+real/cpu times and run metadata on google-benchmark output, and every
+cache.* counter/gauge/histogram and engine.* counter (cache hit accounting
+and allocation accounting) - they are effectiveness telemetry, not output,
+and may differ between checkouts that compute the same outputs. The telemetry
 "schema" marker (absent = v1, present = v2+) is scrubbed too, so reports
 from either side of the versioning change compare clean.
 Exits nonzero and reports the first differences when anything else differs.
-Scripts use it as the cached-vs-uncached smoke gate; see scripts/check.sh.
 
 --scrub-rounds additionally scrubs everything the network model is allowed
 to change: round counters and round-resolution telemetry (any counter,

@@ -31,7 +31,7 @@ Exit status: 0 = within tolerance, 1 = regression(s), 2 = usage/setup.
 
 Usage:
   scripts/bench_gate.py --fresh-dir /tmp/bench.fresh
-  scripts/bench_gate.py --fresh-dir d --tolerance 40 BENCH_MVC_ROUNDS_CACHED.json
+  scripts/bench_gate.py --fresh-dir d --tolerance 40 BENCH_MVC_ROUNDS.json
 
 Only the Python standard library is used. scripts/check.sh runs this after
 regenerating the bench set; see README "Tracing and the bench gate".
@@ -221,8 +221,7 @@ def main():
         if not os.path.exists(base_path):
             sys.exit(f"missing baseline: {base_path}")
         if not os.path.exists(fresh_path):
-            # bench_all.sh may cover a subset of the committed baselines
-            # (suffixed variants come from dedicated A/B scripts).
+            # bench_all.sh may cover a subset of the committed baselines.
             notes.append(f"{name}: no fresh run, skipped")
             continue
         base, fresh = load(base_path), load(fresh_path)

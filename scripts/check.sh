@@ -2,15 +2,18 @@
 # Full pre-merge check: build and test the Release configuration, the
 # combined ASan+UBSan configuration, and the ThreadSanitizer configuration
 # (which exercises the parallel_for drivers at several worker counts),
-# then a cache-parity smoke run: one driver bench executed cached and
-# uncached must produce identical JSON outside timing and cache.* fields,
-# a CONGEST-parity smoke run (the same bench under --model congest must
-# match its LOCAL run outside round counts and net.* telemetry),
+# then the pinned-seed fuzz/audit corpus, a CONGEST-parity smoke run (a
+# driver bench under --model congest must match its LOCAL run outside
+# round counts and net.* telemetry),
 # a trace smoke run (--trace output must validate: well-formed Chrome
 # JSON, monotone ticks, resolvable message lineage, counts matching the
-# telemetry report), and the bench-regression gate (a fresh bench_all.sh
-# run must stay within tolerance of the committed BENCH_*.json baselines).
-# All must pass.
+# telemetry report), the scale and dynamic-churn smokes, and the
+# bench-regression gate (a fresh bench_all.sh run must stay within
+# tolerance of the committed BENCH_*.json baselines).
+# All must pass. The caches, the forest engine and the 32-bit id slabs have
+# one production path each; their oracles (uncached workspace calls, the
+# reference Kruskal, the checked_* narrowing guards) are called directly
+# by the ctest suites above.
 #
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
@@ -42,29 +45,14 @@ CHORDAL_THREADS=4 run_config "$repo/build-tsan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCHORDAL_TSAN=ON
 
 echo
-echo "== Wide ids (CHORDAL_WIDE_IDS=ON: 64-bit slabs, same outputs) =="
-# The id width is storage-only: the full test suite - including the audit
-# matrix (threads {1,8} x cache {on,off} x engine {fast,ref}) and the
-# trace-parity suites - must pass identically in the 64-bit build.
-run_config "$repo/build-wide" -DCMAKE_BUILD_TYPE=Release -DCHORDAL_WIDE_IDS=ON
-
-echo
 echo "== Fuzz/audit smoke (pinned-seed corpus under ASan+UBSan) =="
 # The sanitizer build above is reused; CHORDAL_FUZZ_ITERS (default 500)
 # scales the corpus for deeper soaks. scripts/fuzz.sh is the standalone
 # entry point with the same knob.
 CHORDAL_FUZZ_DIR="$repo/build-san" "$repo/scripts/fuzz.sh"
 
-echo
-echo "== Cache parity smoke (cached vs uncached driver run) =="
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
-CHORDAL_BALL_CACHE=0 "$repo/build-release/bench/bench_local_views" \
-  --json "$smoke_dir/uncached.json" >/dev/null
-CHORDAL_BALL_CACHE=1 "$repo/build-release/bench/bench_local_views" \
-  --json "$smoke_dir/cached.json" >/dev/null
-python3 "$repo/scripts/bench_diff.py" --parity \
-  "$smoke_dir/uncached.json" "$smoke_dir/cached.json"
 
 echo
 echo "== CONGEST parity smoke (LOCAL vs --model congest driver run) =="
@@ -94,31 +82,6 @@ python3 "$repo/scripts/trace_check.py" "$smoke_dir/base.trace.json" \
   --telemetry "$smoke_dir/base.json"
 
 echo
-echo "== Forest engine parity smoke (fast vs CHORDAL_FOREST_REFERENCE) =="
-# The counting-sort forest engine and the reference sorted-merge Kruskal
-# must agree on every output cell of the forest bench and of a driver-level
-# run; only timings and cache.*/engine.* effectiveness telemetry may move.
-"$repo/build-release/bench/bench_forest" \
-  --json "$smoke_dir/forest_fast.json" >/dev/null
-CHORDAL_FOREST_REFERENCE=1 "$repo/build-release/bench/bench_forest" \
-  --json "$smoke_dir/forest_ref.json" >/dev/null
-python3 "$repo/scripts/bench_diff.py" --parity \
-  "$smoke_dir/forest_fast.json" "$smoke_dir/forest_ref.json"
-CHORDAL_FOREST_REFERENCE=1 "$repo/build-release/bench/bench_local_views" \
-  --json "$smoke_dir/views_ref.json" >/dev/null
-python3 "$repo/scripts/bench_diff.py" --parity \
-  "$smoke_dir/cached.json" "$smoke_dir/views_ref.json"
-
-echo
-echo "== Cross-width parity smoke (32-bit vs 64-bit id slabs) =="
-# Same forest bench from the wide build: every output cell (sizes, weights,
-# edge hashes) must match the 32-bit run bit-for-bit.
-"$repo/build-wide/bench/bench_forest" \
-  --json "$smoke_dir/forest_wide.json" >/dev/null
-python3 "$repo/scripts/bench_diff.py" --parity \
-  "$smoke_dir/forest_fast.json" "$smoke_dir/forest_wide.json"
-
-echo
 echo "== Scale smoke (n=10^5 streaming substrate under the RSS ceiling) =="
 # Builds 10^5-vertex interval and k-tree graphs through the streaming CSR
 # path, asserts allocation-free steady-state queries, and fails if peak RSS
@@ -138,8 +101,7 @@ echo "== Dynamic churn smoke (certified updates, colors == omega) =="
 echo
 echo "== Bench regression gate (fresh run vs committed baselines) =="
 # Regenerates the canonical (unsuffixed) bench set into the smoke dir and
-# compares it against the committed BENCH_*.json; suffixed A/B variants
-# (CACHED/UNCACHED/BEFORE/AFTER/...) are skipped automatically.
+# compares it against the committed BENCH_*.json.
 # CHORDAL_DYNAMIC_SMOKE keeps the E17 matrix at its n=10^4 cells here (the
 # full matrix is a quarter-hour; its floors are still hard-checked on the
 # fresh smoke cells, and the committed baseline comes from a full run).

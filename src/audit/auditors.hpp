@@ -84,8 +84,6 @@ void audit_rejects_non_chordal(const Graph& g);
 
 struct DriverAuditConfig {
   int threads = 1;
-  bool cache = true;
-  bool forest_reference = false;
   /// Run under the CONGEST bandwidth model (B-word per-edge per-round
   /// capacity, fragmented Network deliveries, transfer rounds on the driver
   /// clocks). Algorithm outputs must stay bit-identical to LOCAL; only
@@ -105,7 +103,7 @@ struct DriverAuditConfig {
 };
 
 /// Everything a config's run produced that must be identical across
-/// (threads, cache, engine) - the cross-config differential signature.
+/// thread counts - the cross-config differential signature.
 struct DriverAuditResult {
   std::vector<int> colors;
   int num_colors = 0;
@@ -113,8 +111,8 @@ struct DriverAuditResult {
   std::int64_t mvc_rounds = 0;
   std::int64_t mis_rounds = 0;
   int num_layers = 0;
-  /// Registry signature: counters/gauges/histograms (cache.* and engine.*
-  /// effectiveness metrics excluded) plus the span tree without wall times.
+  /// Registry signature: counters/gauges/histograms (cache.* statistics
+  /// included) plus the span tree without wall times.
   std::string telemetry;
 };
 
@@ -123,18 +121,17 @@ bool operator==(const DriverAuditResult& a, const DriverAuditResult& b);
 /// Runs every driver (MVC both modes when requested, MIS, Delta+1 over the
 /// Network engine, clique forest + engine parity, exact baselines) on g
 /// under the given execution config with all per-claim auditors enabled,
-/// and returns the differential signature. Thread count, cache, and forest
-/// engine settings are restored on exit.
+/// and returns the differential signature. Thread count and network model
+/// settings are restored on exit.
 DriverAuditResult run_driver_audit(const Graph& g,
                                    const DriverAuditConfig& config);
 
-/// The full execution matrix of one graph: threads {1, 8} x cache {on,
-/// off} x engine {fast, ref} under LOCAL, each audited, with all eight
-/// signatures asserted identical - then threads {1, 8} x cache {on, off}
-/// under CONGEST (auto B), with the four congest signatures asserted
+/// The full execution matrix of one graph: threads {1, 8} under LOCAL,
+/// each audited, with both signatures asserted identical - then threads
+/// {1, 8} under CONGEST (auto B), with the two congest signatures asserted
 /// identical to each other and their algorithm outputs (colors, MIS,
 /// layers) asserted bit-identical to the LOCAL baseline while their round
-/// counts may only grow. Returns the number of configurations run (12).
+/// counts may only grow. Returns the number of configurations run (4).
 int run_driver_audit_matrix(const Graph& g, double eps_color, double eps_mis,
                             bool check_per_node_pruning);
 
@@ -159,18 +156,18 @@ struct UpdateScheduleStats {
 /// config: random edge/vertex inserts and deletes (the certifier decides
 /// validity; every rejection's witness is checked to be a genuine chordless
 /// cycle of the would-be graph) plus injected guaranteed-violating updates
-/// that MUST be rejected. audit_dynamic_parity runs after every step. When
-/// config.cache is set, a BallCache rides along: periodically rebound to a
-/// fresh materialize() snapshot, reconciled through invalidate_touched /
-/// reactivate / deactivate from the facade's dirty region, and probed
-/// against fresh ball collection. The final signature lands in *final.
+/// that MUST be rejected. audit_dynamic_parity runs after every step. A
+/// BallCache rides along: periodically rebound to a fresh materialize()
+/// snapshot, reconciled through invalidate_touched / reactivate /
+/// deactivate from the facade's dirty region, and probed against fresh
+/// ball collection. The final signature lands in *final.
 UpdateScheduleStats run_update_schedule_audit(
     const Graph& base, std::uint64_t seed, int steps,
     const DriverAuditConfig& config, DynamicChordal::Signature* final_sig);
 
-/// The schedule under the full execution matrix (threads {1, 8} x cache
-/// {on, off} x engine {fast, ref}), asserting every config lands on the
-/// identical final signature. Returns the number of configurations run.
+/// The schedule under the execution matrix (threads {1, 8}), asserting
+/// every config lands on the identical final signature. Returns the number
+/// of configurations run (2).
 int run_update_schedule_matrix(const Graph& base, std::uint64_t seed,
                                int steps);
 

@@ -84,9 +84,7 @@ class CliqueForest {
 /// Kruskal selection shared with local-view computation: returns the edges
 /// of the unique MWSF of the W_G induced by `cliques`, processing edges in
 /// decreasing deterministic order. Routed through the near-linear
-/// ForestScratch engine (see the overload below) unless
-/// support::forest_reference_enabled() forces the reference path; outputs
-/// are bit-identical either way.
+/// ForestScratch engine (see the overload below).
 std::vector<WcigEdge> max_weight_spanning_forest(const CliqueFamily& cliques,
                                                  int num_graph_vertices);
 
@@ -103,10 +101,10 @@ void max_weight_spanning_forest(const CliqueFamily& cliques,
                                 std::vector<WcigEdge>& out);
 
 /// The original allocating construction (wcig_edges + O(omega) comparator
-/// sort + fresh UnionFind), kept verbatim as the differential-test oracle
-/// for the engine and as the CHORDAL_FOREST_REFERENCE fallback. The
-/// CliqueFamily form expands to the nested representation first - it is a
-/// cold path by definition.
+/// sort + fresh UnionFind), kept verbatim as the differential oracle for
+/// the engine: only audit_forest_engine_parity, tests and benches call it,
+/// never a library build path. The CliqueFamily form expands to the nested
+/// representation first - it is a cold path by definition.
 std::vector<WcigEdge> max_weight_spanning_forest_reference(
     const std::vector<std::vector<int>>& cliques, int num_graph_vertices);
 std::vector<WcigEdge> max_weight_spanning_forest_reference(

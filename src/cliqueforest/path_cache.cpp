@@ -16,7 +16,6 @@ PathMetricCache::~PathMetricCache() { publish_stats(); }
 
 const PathMetricCache::Record* PathMetricCache::find(
     const ForestPath& path) const {
-  if (!enabled_) return nullptr;
   auto it = map_.find(path.cliques);
   return it == map_.end() ? nullptr : &it->second;
 }
@@ -50,7 +49,7 @@ PathMetricCache::Stats PathMetricCache::stats() const {
 }
 
 void PathMetricCache::publish_stats() {
-  if (published_ || !enabled_) return;
+  if (published_) return;
   published_ = true;
   obs::Registry* reg = obs::current();
   if (reg == nullptr) return;
@@ -64,7 +63,7 @@ int cached_path_diameter(const Graph& g, const CliqueForest& forest,
                          const ForestPath& path, PathScratch& scratch,
                          const PathMetricCache& cache,
                          PathMetricCache::WorkerLog& log) {
-  if (!cache.enabled() || !PathMetricCache::cacheable(path)) {
+  if (!PathMetricCache::cacheable(path)) {
     return path_diameter(g, forest, path, scratch);
   }
   const PathMetricCache::Record* rec = cache.find(path);
@@ -92,7 +91,7 @@ int cached_path_independence(const CliqueForest& forest,
                              const ForestPath& path, PathScratch& scratch,
                              const PathMetricCache& cache,
                              PathMetricCache::WorkerLog& log) {
-  if (!cache.enabled() || !PathMetricCache::cacheable(path)) {
+  if (!PathMetricCache::cacheable(path)) {
     return path_independence(forest, path, scratch);
   }
   const PathMetricCache::Record* rec = cache.find(path);
@@ -122,7 +121,7 @@ const PathIntervals* cached_path_intervals(const CliqueForest& forest,
                                            PathIntervals& storage,
                                            const PathMetricCache& cache,
                                            PathMetricCache::WorkerLog& log) {
-  if (!cache.enabled() || !PathMetricCache::cacheable(path)) {
+  if (!PathMetricCache::cacheable(path)) {
     path_intervals(forest, path, scratch, storage);
     return &storage;
   }

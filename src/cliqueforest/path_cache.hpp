@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "cliqueforest/paths.hpp"
-#include "support/cachectl.hpp"
 
 namespace chordal {
 
@@ -72,13 +71,10 @@ class PathMetricCache {
     std::int64_t misses_ = 0;
   };
 
-  PathMetricCache() : enabled_(support::cache_enabled()) {}
-  explicit PathMetricCache(bool enabled) : enabled_(enabled) {}
+  PathMetricCache() = default;
   ~PathMetricCache();
   PathMetricCache(const PathMetricCache&) = delete;
   PathMetricCache& operator=(const PathMetricCache&) = delete;
-
-  bool enabled() const { return enabled_; }
 
   /// Minimum clique-sequence length for a path to be cached (see header
   /// comment). The test depends only on the path itself, so hit/miss
@@ -101,8 +97,7 @@ class PathMetricCache {
 
   /// Adds cache.path.hits / cache.path.misses counters and the
   /// cache.path.resident_words sample to obs::current(). Called once by the
-  /// destructor; explicit calls make the destructor a no-op. Publishes
-  /// nothing when disabled.
+  /// destructor; explicit calls make the destructor a no-op.
   void publish_stats();
 
  private:
@@ -117,7 +112,6 @@ class PathMetricCache {
     }
   };
 
-  bool enabled_;
   bool published_ = false;
   std::unordered_map<std::vector<int>, Record, KeyHash> map_;
   std::int64_t hits_ = 0;
@@ -128,8 +122,8 @@ class PathMetricCache {
 /// Cached forms of the path metrics: identical return values to the plain
 /// workspace forms (asserted by tests), served from `cache` when possible.
 /// Computed results (including the interval model, which every metric
-/// materializes anyway) are recorded into `log` for the next merge. With a
-/// disabled cache these are exactly the plain workspace calls.
+/// materializes anyway) are recorded into `log` for the next merge. Paths
+/// below kMinCliques go straight to the plain workspace calls.
 int cached_path_diameter(const Graph& g, const CliqueForest& forest,
                          const ForestPath& path, PathScratch& scratch,
                          const PathMetricCache& cache,

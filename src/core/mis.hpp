@@ -10,16 +10,28 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "graph/graph.hpp"
 
 namespace chordal::core {
 
+/// Largest accepted scale d: the pruning radius 4d+10 (and the 2d+3 path
+/// threshold) must fit in int. With the paper's d = ceil(64 / eps) this
+/// means eps >= 64 / kMaxMisScale, about 1.2e-7.
+inline constexpr int kMaxMisScale =
+    (std::numeric_limits<int>::max() - 10) / 4;
+
 struct MisOptions {
-  double eps = 0.25;  // in (0, 1/2)
-  /// Override for the paper's d = ceil(64/eps) scale constant (0 = paper
-  /// value). The worst-case constant is loose; benches ablate it (E5).
+  /// In (0, 1/2) with ceil(64 / eps) <= kMaxMisScale; anything else
+  /// (NaN and infinities included) throws std::invalid_argument before any
+  /// work is done.
+  double eps = 0.25;
+  /// Override for the paper's d = ceil(64/eps) scale constant: 0 = paper
+  /// value, otherwise in [1, kMaxMisScale] (anything else throws
+  /// std::invalid_argument). The worst-case constant is loose; benches
+  /// ablate it (E5).
   int d_override = 0;
 };
 

@@ -29,8 +29,19 @@ std::vector<std::vector<std::size_t>> model_components(
 }  // namespace
 
 MisResult mis_chordal(const Graph& g, const MisOptions& options) {
-  if (options.eps <= 0 || options.eps >= 0.5) {
+  // Validated in double before any int narrowing: NaN slips past plain
+  // range comparisons, and a tiny eps makes ceil(64/eps) (or 4d+10)
+  // overflow int.
+  if (!(options.eps > 0 && options.eps < 0.5)) {
     throw std::invalid_argument("mis_chordal: eps must be in (0, 1/2)");
+  }
+  if (std::ceil(64.0 / options.eps) > kMaxMisScale) {
+    throw std::invalid_argument(
+        "mis_chordal: eps too small (ceil(64/eps) exceeds kMaxMisScale)");
+  }
+  if (options.d_override < 0 || options.d_override > kMaxMisScale) {
+    throw std::invalid_argument(
+        "mis_chordal: d_override must be in [0, kMaxMisScale]");
   }
   MisResult result;
   // The scale parameters are pure functions of eps; fill them before the

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -37,7 +38,14 @@ enum class PruningMode {
   kPerNodeLocalViews,
 };
 
+/// Largest accepted scale k = ceil(2 / eps): the pruning radius 10k (and
+/// the 3k path threshold) must fit in int. Hence eps >= 2 / kMaxMvcScale,
+/// about 9.3e-9.
+inline constexpr int kMaxMvcScale = std::numeric_limits<int>::max() / 10;
+
 struct MvcOptions {
+  /// Finite, > 0, and with ceil(2 / eps) <= kMaxMvcScale; anything else
+  /// throws std::invalid_argument before any work is done.
   double eps = 0.5;
   LayerColoringMode layer_coloring = LayerColoringMode::kColIntGraph;
   PruningMode pruning = PruningMode::kGlobal;
@@ -57,12 +65,14 @@ struct MvcResult {
   int recolored_vertices = 0;       // conflict-zone size across all layers
 };
 
-/// The distributed algorithm (Algorithm 2). eps > 0; the (1+eps)
-/// approximation guarantee requires eps >= 2 / chi(G) (Theorem 3).
+/// The distributed algorithm (Algorithm 2). eps as documented on
+/// MvcOptions; the (1+eps) approximation guarantee requires
+/// eps >= 2 / chi(G) (Theorem 3).
 MvcResult mvc_chordal(const Graph& g, const MvcOptions& options = {});
 
 /// Algorithm 1 with the centralized shortcut (optimal layer colorings);
-/// round fields describe the run as if executed distributively.
+/// round fields describe the run as if executed distributively. Validates
+/// eps exactly as mvc_chordal does.
 MvcResult mvc_chordal_centralized(const Graph& g, double eps);
 
 }  // namespace chordal::core

@@ -97,7 +97,6 @@ struct Engine {
   void run() {
     obs::Span span("MVC Algorithm 2 (Theorem 4)");
     telemetry = span.live();
-    result.k = std::max(2, static_cast<int>(std::ceil(2.0 / options.eps)));
     result.omega = 0;
     for (const auto& clique : forest.cliques()) {
       result.omega = std::max(result.omega, static_cast<int>(clique.size()));
@@ -448,17 +447,26 @@ struct Engine {
 }  // namespace
 
 MvcResult mvc_chordal(const Graph& g, const MvcOptions& options) {
-  if (options.eps <= 0) {
-    throw std::invalid_argument("mvc_chordal: eps must be positive");
+  // Validated in double before any int narrowing: NaN slips past a plain
+  // `eps <= 0`, and a tiny eps makes ceil(2/eps) (or 10k) overflow int.
+  if (!(std::isfinite(options.eps) && options.eps > 0)) {
+    throw std::invalid_argument("mvc_chordal: eps must be finite and positive");
   }
+  const double scale = std::ceil(2.0 / options.eps);
+  if (scale > kMaxMvcScale) {
+    throw std::invalid_argument(
+        "mvc_chordal: eps too small (ceil(2/eps) exceeds kMaxMvcScale)");
+  }
+  // k is a pure function of eps, not of the graph, so the degenerate input
+  // honors the result contract too (fuzz-found: k stayed 0 on n = 0).
+  const int k = std::max(2, static_cast<int>(scale));
   if (g.num_vertices() == 0) {
-    // Degenerate input still honors the result contract: k is a pure
-    // function of eps, not of the graph (fuzz-found: k stayed 0 here).
     MvcResult result;
-    result.k = std::max(2, static_cast<int>(std::ceil(2.0 / options.eps)));
+    result.k = k;
     return result;
   }
   Engine engine(g, options);
+  engine.result.k = k;
   engine.run();
   return engine.result;
 }

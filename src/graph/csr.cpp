@@ -1,7 +1,6 @@
 #include "graph/csr.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 namespace chordal {
@@ -9,10 +8,6 @@ namespace chordal {
 CsrAssembler::CsrAssembler(long long n) : n_(n) {
   if (n < 0) throw std::invalid_argument("CsrAssembler: negative n");
   checked_vertex_id(n, "CsrAssembler vertex count");
-  if (n > static_cast<long long>(std::numeric_limits<int>::max())) {
-    throw IdOverflowError("CsrAssembler: vertex count " + std::to_string(n) +
-                          " exceeds the Graph API bound INT_MAX");
-  }
   degree_.assign(static_cast<std::size_t>(n), 0);
 }
 

@@ -17,7 +17,7 @@
 // calling Graph::adopt_csr directly.
 //
 // All counts narrow through graph/ids.hpp's checked helpers: a stream whose
-// vertex count or adjacency volume exceeds the configured id width raises
+// vertex count or adjacency volume exceeds the 32-bit id range raises
 // IdOverflowError instead of truncating.
 #pragma once
 
@@ -31,8 +31,8 @@ namespace chordal {
 
 class CsrAssembler {
  public:
-  /// Throws IdOverflowError when n exceeds the VertexId range (or INT_MAX,
-  /// the Graph API bound).
+  /// Throws IdOverflowError when n exceeds the 32-bit VertexId range (the
+  /// Graph API bound INT_MAX).
   explicit CsrAssembler(long long n);
 
   long long num_vertices() const { return n_; }

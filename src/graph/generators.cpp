@@ -2,28 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "graph/ids.hpp"
 
 namespace chordal {
-
-namespace {
-
-// Streaming generators take long long n (they target scales where the count
-// itself is the interesting input); the Graph API computes in int, so both
-// the configured id width and INT_MAX bound the accepted range.
-void check_streaming_vertex_count(long long n, const char* what) {
-  checked_vertex_id(n, what);
-  if (n > static_cast<long long>(std::numeric_limits<int>::max())) {
-    throw IdOverflowError(std::string(what) + ": vertex count " +
-                          std::to_string(n) +
-                          " exceeds the Graph API bound INT_MAX");
-  }
-}
-
-}  // namespace
 
 Graph path_graph(int n) {
   GraphBuilder b(n);
@@ -306,7 +289,9 @@ StreamingInterval streaming_interval_graph(const StreamingIntervalConfig& c) {
   if (c.gap_mean <= 0.0 || c.min_len < 0.0 || c.max_len < c.min_len) {
     throw std::invalid_argument("streaming_interval_graph: bad geometry");
   }
-  check_streaming_vertex_count(c.n, "streaming_interval_graph");
+  // Streaming generators take long long n (they target scales where the
+  // count itself is the interesting input); VertexId bounds the range.
+  checked_vertex_id(c.n, "streaming_interval_graph");
   const long long n = c.n;
   Rng rng(c.seed);
   StreamingInterval out;
@@ -373,7 +358,7 @@ Graph streaming_k_tree(long long n, int k, std::uint64_t seed) {
   if (k < 1 || n < k + 1) {
     throw std::invalid_argument("random_k_tree: need n >= k+1, k >= 1");
   }
-  check_streaming_vertex_count(n, "streaming_k_tree");
+  checked_vertex_id(n, "streaming_k_tree");
   Rng rng(seed);
   const long long added = n - (k + 1);
   // One flat attachment slab replaces random_k_tree's k_cliques list: the

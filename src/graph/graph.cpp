@@ -27,14 +27,6 @@ std::vector<std::pair<int, int>> Graph::edges() const {
   return out;
 }
 
-#ifdef CHORDAL_WIDE_IDS
-Graph Graph::induced_subgraph(std::span<const int> vertices,
-                              std::vector<int>* original_of) const {
-  std::vector<VertexId> widened(vertices.begin(), vertices.end());
-  return induced_subgraph(std::span<const VertexId>(widened), original_of);
-}
-#endif
-
 Graph Graph::induced_subgraph(std::span<const VertexId> vertices,
                               std::vector<int>* original_of) const {
   std::vector<int> local(static_cast<std::size_t>(n_), -1);

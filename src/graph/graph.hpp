@@ -7,8 +7,7 @@
 //
 // Storage is exactly two flat allocations - `offsets_` (n+1 EdgeIndex
 // entries) and `adj_` (2m VertexId entries, each neighbor list sorted
-// ascending) - in the compact id types of graph/ids.hpp: 32-bit by default,
-// 64-bit under CHORDAL_WIDE_IDS. Bulk ingest goes through adopt_csr (a
+// ascending) - in the compact 32-bit id types of graph/ids.hpp. Bulk ingest goes through adopt_csr (a
 // move, no copy) or assign_csr (a copy into reused storage for hot-path
 // ball rebuilds); both are fed by graph/csr.hpp's CsrAssembler and the
 // streaming generators without any vector<vector<int>> staging.
@@ -61,13 +60,6 @@ class Graph {
   /// index is returned in `original_of` when non-null.
   Graph induced_subgraph(std::span<const VertexId> vertices,
                          std::vector<int>* original_of = nullptr) const;
-#ifdef CHORDAL_WIDE_IDS
-  /// Width-agnostic convenience: plain-int vertex lists (the public
-  /// algorithm currency) widen to VertexId at this boundary. In the default
-  /// 32-bit build VertexId is int and the primary overload already applies.
-  Graph induced_subgraph(std::span<const int> vertices,
-                         std::vector<int>* original_of = nullptr) const;
-#endif
 
   /// Rebuilds this graph in place from a compressed adjacency the caller
   /// assembled directly (offsets of size n+1; each neighbor list sorted

@@ -1,6 +1,5 @@
 #include "graph/graphio.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -40,18 +39,15 @@ Graph read_graph(std::istream& in) {
   long long m = 0;
   if (!(in >> n)) fail(1, "malformed header (expected vertex count)");
   if (n < 0) fail(1, "negative vertex count " + std::to_string(n));
-  // The id-width guard: a header beyond the configured VertexId (or the
-  // Graph API bound INT_MAX) raises the typed overflow error instead of
-  // truncating into the slab types.
+  // The id-width guard: a header beyond VertexId raises the typed overflow
+  // error instead of truncating into the slab types.
   const long long vertex_bound =
-      std::min(static_cast<long long>(std::numeric_limits<VertexId>::max()),
-               static_cast<long long>(std::numeric_limits<int>::max()));
+      static_cast<long long>(std::numeric_limits<VertexId>::max());
   if (n > vertex_bound) {
     throw IdOverflowError(
         "read_graph: line 1: vertex count " + std::to_string(n) +
-        " overflows the " + std::to_string(id_bits()) +
-        "-bit vertex id space [0, " + std::to_string(vertex_bound) +
-        "] (rebuild with CHORDAL_WIDE_IDS for wider slabs)");
+        " overflows the 32-bit vertex id space [0, " +
+        std::to_string(vertex_bound) + "]");
   }
   if (!(in >> m)) fail(1, "malformed header (expected edge count)");
   if (m < 0) fail(1, "negative edge count " + std::to_string(m));

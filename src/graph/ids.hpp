@@ -2,14 +2,11 @@
 //
 // Every slab in the pipeline (Graph CSR, clique families, forest adjacency,
 // membership maps, workspace assembly buffers) stores vertex and clique ids
-// in these storage types. They are 32-bit by default - the production scale
-// target of n = 10^6..10^7 vertices and up to ~10^9 adjacency slots fits
-// comfortably - and compile-time switchable to 64-bit with
-// -DCHORDAL_WIDE_IDS=ON for slabs beyond the 32-bit range. All algorithmic
-// code computes on plain int (the public API contract caps n at INT_MAX
-// either way), so outputs are bit-identical across widths by construction;
-// scripts/check.sh proves it by running the audit matrix and trace-parity
-// suites in both builds.
+// in these storage types. They are 32-bit - the production scale target of
+// n = 10^6..10^7 vertices and up to ~10^9 adjacency slots fits comfortably,
+// at half the resident bytes of 64-bit slabs. All algorithmic code computes
+// on plain int (the public API contract caps n at INT_MAX), so a wider
+// storage type would buy no larger input.
 //
 // Ingest paths (read_graph, CsrAssembler, the streaming generators) narrow
 // 64-bit counts into these types through the checked_* helpers below, which
@@ -23,26 +20,15 @@
 
 namespace chordal {
 
-#if defined(CHORDAL_WIDE_IDS)
 /// Storage type for graph vertex ids inside slabs.
-using VertexId = std::int64_t;
-/// Storage type for clique (bag) ids inside slabs.
-using CliqueId = std::int64_t;
-/// Storage type for CSR offsets (indices into adjacency slabs).
-using EdgeIndex = std::int64_t;
-#else
 using VertexId = std::int32_t;
+/// Storage type for clique (bag) ids inside slabs.
 using CliqueId = std::int32_t;
+/// Storage type for CSR offsets (indices into adjacency slabs).
 using EdgeIndex = std::int32_t;
-#endif
 
-/// Bit width of the configured id storage (32 or 64).
-constexpr int id_bits() {
-  return std::numeric_limits<VertexId>::digits + 1;
-}
-
-/// Typed narrowing failure: a 64-bit count or id exceeds the configured
-/// storage width. Derives from std::range_error (hence std::runtime_error),
+/// Typed narrowing failure: a 64-bit count or id exceeds the 32-bit id
+/// storage. Derives from std::range_error (hence std::runtime_error),
 /// so existing hostile-input handling that catches runtime_error still
 /// applies while tests can assert on the precise type.
 class IdOverflowError : public std::range_error {
@@ -55,10 +41,9 @@ namespace detail {
 [[noreturn]] inline void throw_id_overflow(const char* what, long long value,
                                            long long max) {
   throw IdOverflowError(std::string(what) + ": value " +
-                        std::to_string(value) + " exceeds the " +
-                        std::to_string(id_bits()) +
-                        "-bit id range [0, " + std::to_string(max) +
-                        "] (rebuild with CHORDAL_WIDE_IDS for wider slabs)");
+                        std::to_string(value) +
+                        " exceeds the 32-bit id range [0, " +
+                        std::to_string(max) + "]");
 }
 
 }  // namespace detail

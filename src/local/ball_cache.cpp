@@ -97,11 +97,7 @@ void extend_ball_core(const Graph& g, int from_radius, int to_radius,
 }  // namespace
 
 BallCache::BallCache(const Graph& g)
-    : BallCache(g, support::cache_enabled()) {}
-
-BallCache::BallCache(const Graph& g, bool enabled)
     : g_(&g),
-      enabled_(enabled),
       active_(static_cast<std::size_t>(g.num_vertices()), 1),
       deact_epoch_(static_cast<std::size_t>(g.num_vertices()), 0),
       activity_gen_(static_cast<std::size_t>(g.num_vertices()), 0) {
@@ -120,7 +116,6 @@ void BallCache::deactivate(std::span<const int> vertices) {
     if (!active_[v]) continue;
     active_[v] = 0;
     deact_epoch_[v] = epoch_;
-    if (!enabled_) continue;
     int killed = 0;
     std::int64_t words_freed = 0;
     for (auto& shard : shards_) {
@@ -136,7 +131,6 @@ void BallCache::deactivate(std::span<const int> vertices) {
                       static_cast<std::int32_t>(epoch_), killed, words_freed);
     }
   }
-  if (!enabled_) return;
   // Distance stamps may refer to an entry that just died; force re-stamping.
   reset_dist_stamps();
 }
@@ -149,7 +143,6 @@ void BallCache::reset_dist_stamps() {
 }
 
 void BallCache::invalidate_touched(std::span<const int> vertices) {
-  if (!enabled_) return;
   ++epoch_;
   for (int v : vertices) {
     if (v < 0 || static_cast<std::size_t>(v) >= active_.size()) continue;
@@ -174,7 +167,6 @@ void BallCache::reactivate(std::span<const int> vertices) {
     active_[v] = 1;
     deact_epoch_[v] = 0;
     ++activity_gen_[v];
-    if (!enabled_) continue;
     // A cached ball is not indexed under v (v was inactive at build time),
     // yet after reactivation a fresh BFS from its center could absorb v -
     // exactly when the ball holds a neighbor of v at distance <= r-1. Kill
@@ -195,7 +187,6 @@ void BallCache::reactivate(std::span<const int> vertices) {
                       static_cast<std::int32_t>(epoch_), killed, words_freed);
     }
   }
-  if (!enabled_) return;
   reset_dist_stamps();
 }
 
@@ -224,7 +215,7 @@ BallCache::Stats BallCache::stats() const {
 }
 
 void BallCache::publish_stats() {
-  if (published_ || !enabled_) return;
+  if (published_) return;
   published_ = true;
   obs::Registry* reg = obs::current();
   if (reg == nullptr) return;
@@ -405,13 +396,6 @@ void BallCache::Shard::charge_collect(const Ball& ball, int radius,
 
 const Ball& BallCache::Shard::collect_ball(int center, int radius,
                                            RoundLedger* ledger) {
-  if (!owner_->enabled_) {
-    local::collect_ball(*owner_->g_, center, radius, &owner_->active_, ledger,
-                        ws_, scratch_ball_);
-    dist_src_ = &scratch_ball_.dist;
-    dists_for_ = center;
-    return scratch_ball_;
-  }
   Entry& e = entry_for(center);
   if (e.valid && e.radius == radius) {
     ++hits_;
@@ -429,13 +413,6 @@ const Ball& BallCache::Shard::collect_ball(int center, int radius,
 }
 
 BallCache::ViewRef BallCache::Shard::local_view(int center, int radius) {
-  if (!owner_->enabled_) {
-    local::compute_local_view(*owner_->g_, center, radius, &owner_->active_,
-                              ws_, scratch_view_);
-    dist_src_ = &ws_.ball.dist;  // compute_local_view collects into ws.ball
-    dists_for_ = center;
-    return {&ws_.ball, &scratch_view_, ++revision_counter_, false};
-  }
   Entry& e = entry_for(center);
   if (e.valid && e.radius == radius && e.has_view) {
     ++hits_;

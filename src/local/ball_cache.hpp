@@ -65,7 +65,6 @@
 #include "graph/graph.hpp"
 #include "local/ball.hpp"
 #include "local/workspace.hpp"
-#include "support/cachectl.hpp"
 
 namespace chordal::local {
 
@@ -96,15 +95,12 @@ class BallCache {
   };
 
   /// Shards match support::num_threads() at construction; all vertices
-  /// start active. When `enabled` is false every lookup recomputes through
-  /// the workspace path (bit-identical results, no memoization, no stats).
+  /// start active.
   explicit BallCache(const Graph& g);
-  BallCache(const Graph& g, bool enabled);
   ~BallCache();
   BallCache(const BallCache&) = delete;
   BallCache& operator=(const BallCache&) = delete;
 
-  bool enabled() const { return enabled_; }
   const Graph& graph() const { return *g_; }
 
   /// The activity mask lookups are restricted to. Owned by the cache so
@@ -160,14 +156,13 @@ class BallCache {
   Shard& shard(std::size_t worker) { return *shards_[worker]; }
   std::size_t num_shards() const { return shards_.size(); }
 
-  /// Totals across shards. Zero when the cache is disabled.
+  /// Totals across shards.
   Stats stats() const;
 
   /// Adds cache.hits/misses/extensions/invalidations counters and the
   /// cache.resident_words gauge to obs::current(). Called once by the
   /// destructor; explicit calls mark the stats published so the destructor
-  /// becomes a no-op. Publishes nothing when disabled, so telemetry stays
-  /// byte-identical to a run without the cache compiled in.
+  /// becomes a no-op.
   void publish_stats();
 
  private:
@@ -176,7 +171,6 @@ class BallCache {
   void reset_dist_stamps();
 
   const Graph* g_;
-  bool enabled_;
   std::vector<char> active_;
   std::vector<std::uint64_t> deact_epoch_;
   std::vector<std::uint64_t> activity_gen_;
@@ -185,8 +179,7 @@ class BallCache {
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
-/// Per-worker cache shard; also the uncached fall-through path when the
-/// cache is disabled. Never shared between concurrent workers.
+/// Per-worker cache shard. Never shared between concurrent workers.
 class BallCache::Shard {
  public:
   /// Identical observable behavior to local::collect_ball(g, center,
@@ -270,8 +263,6 @@ class BallCache::Shard {
   std::uint64_t revision_counter_ = 0;
   const std::vector<int>* dist_src_ = nullptr;  // dist array of the stamp
   int dists_for_ = -1;                          // center of current stamp
-  Ball scratch_ball_;      // uncached-mode storage
-  LocalView scratch_view_;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;
   std::int64_t extensions_ = 0;

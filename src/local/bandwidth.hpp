@@ -11,9 +11,8 @@
 // (EXPERIMENTS.md "Bandwidth accounting") and the executable one cannot
 // diverge again.
 //
-// Model selection follows the process-wide knob idiom of support/cachectl:
-// the CHORDAL_NET_MODEL / CHORDAL_CONGEST_B environment variables are read
-// once, and set_network_model() / set_congest_capacity() install runtime
+// Model selection is process-wide: the CHORDAL_NET_MODEL /
+// CHORDAL_CONGEST_B environment variables are read once, and set_network_model() / set_congest_capacity() install runtime
 // overrides (negative restores the environment default). current_bandwidth()
 // is cheap enough for hot paths: two relaxed flag loads plus cached env
 // state.

@@ -78,18 +78,6 @@ const char* trace_event_category(TraceEventKind kind) {
   return kind_info(kind).category;
 }
 
-bool trace_event_is_cache(TraceEventKind kind) {
-  switch (kind) {
-    case TraceEventKind::kCacheHit:
-    case TraceEventKind::kCacheMiss:
-    case TraceEventKind::kCacheExtend:
-    case TraceEventKind::kCacheInvalidate:
-      return true;
-    default:
-      return false;
-  }
-}
-
 TraceEvent& TraceBuf::push(const TraceEvent& e) {
   if (events_.size() < capacity_) {
     events_.push_back(e);

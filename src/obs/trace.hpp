@@ -82,11 +82,6 @@ enum class TraceEventKind : std::int16_t {
 const char* trace_event_name(TraceEventKind kind);
 const char* trace_event_category(TraceEventKind kind);
 
-/// True for the cache.* kinds - the only events that legitimately differ
-/// between cache-on and cache-off runs of the same workload (mirrors the
-/// cache.* scrub of scripts/bench_diff.py --parity).
-bool trace_event_is_cache(TraceEventKind kind);
-
 /// One fixed-size trace record. `tick` is the logical position in the
 /// merged deterministic order (1-based, strictly increasing); `wall_ns` is
 /// steady-clock nanoseconds at emit time and is the only field that varies

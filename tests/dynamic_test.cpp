@@ -2,9 +2,8 @@
 // (loops, duplicates, dead slots), rejection witnesses that really are
 // chordless cycles, clique-family behavior when a maximal clique loses its
 // last vertex, updates on the empty graph, slot reuse, and a mixed
-// all-four-mutations schedule whose Signature parity is id-width
-// independent (the same test binary runs in the CHORDAL_WIDE_IDS=ON tree,
-// see scripts/check.sh).
+// all-four-mutations schedule checked for Signature parity after every
+// step.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -229,9 +228,8 @@ TEST(DynamicGraphTest, DirtyRegionTracksMutations) {
 }
 
 // All four mutations on one instance, checking Signature parity after each
-// step. Signatures are pure slot-id structures, so the expectations are
-// identical in the 32-bit and CHORDAL_WIDE_IDS=ON builds - running this
-// binary in both trees is the parity check.
+// step. Signatures are pure slot-id structures: the expectations hold
+// whatever the storage width of the slabs underneath.
 TEST(DynamicGraphTest, MixedScheduleKeepsParityAcrossIdWidths) {
   RandomChordalConfig config;
   config.n = 60;

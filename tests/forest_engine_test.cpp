@@ -5,11 +5,11 @@
 // (wcig_edges + wcig_edge_less + max_weight_spanning_forest_reference) on
 // every workload - including the all-equal-weight tie storms of k-trees
 // and unit-interval chains, where only the paper's deterministic
-// (weight, word, word) order separates the candidate edges. On top of the
-// construction-level checks, the drivers (MVC with per-node local views,
-// MIS) must produce identical outputs and identical scrubbed telemetry
-// under every combination of engine (fast / CHORDAL_FOREST_REFERENCE),
-// thread count (1/2/8), and ball cache state (on/off).
+// (weight, word, word) order separates the candidate edges. The oracle is
+// called directly, here and by audit_forest_engine_parity; no library build
+// path reaches it. On top of the construction-level checks, the drivers (MVC
+// with per-node local views, MIS) must produce identical outputs and
+// identical scrubbed telemetry at every thread count (1/2/8).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,7 +30,6 @@
 #include "local/ball_cache.hpp"
 #include "local/workspace.hpp"
 #include "obs/metrics.hpp"
-#include "support/cachectl.hpp"
 #include "support/parallel.hpp"
 #include "test_util.hpp"
 
@@ -157,24 +156,18 @@ std::vector<std::pair<std::string, Graph>> engine_workloads() {
   return out;
 }
 
-class EngineRestorer {
+class ThreadsRestorer {
  public:
-  ~EngineRestorer() {
-    support::set_forest_reference(-1);
-    support::set_cache_enabled(-1);
-    support::set_num_threads(0);
-  }
+  ~ThreadsRestorer() { support::set_num_threads(0); }
 };
 
-/// Registry JSON with wall-clock timings and the cache.* counters removed
-/// (a cached run publishes cache statistics the uncached run does not);
-/// everything else must match byte for byte.
+/// Registry JSON with wall-clock timings removed; everything else, cache.*
+/// statistics included, must match byte for byte.
 std::string scrub_volatile(const std::string& json) {
   std::string out;
   std::size_t i = 0;
   while (i < json.size()) {
-    bool drop = json.compare(i, 7, "\"cache.") == 0 ||
-                json.compare(i, 10, "\"wall_ms\":") == 0;
+    bool drop = json.compare(i, 10, "\"wall_ms\":") == 0;
     if (!drop) {
       out.push_back(json[i]);
       ++i;
@@ -273,7 +266,7 @@ TEST(ForestEngine, LocalViewsMatchOracleAllPaths) {
   LocalView ws_view;
   for (const auto& [name, g] : engine_workloads()) {
     if (g.num_vertices() < 2) continue;
-    local::BallCache cache(g, /*enabled=*/true);
+    local::BallCache cache(g);
     for (int radius : {2, 4}) {
       for (int v = 0; v < g.num_vertices(); v += 5) {
         LocalView oracle = reference_local_view(g, v, radius);
@@ -319,15 +312,19 @@ TEST(ForestEngine, LocalViewsMatchOracleUnderActivityMask) {
 }
 
 TEST(ForestEngine, ReferenceGateProducesIdenticalForests) {
-  EngineRestorer restore;
+  // The whole build path (clique extraction, phi, adjacency slabs) must
+  // land on the oracle's forest, not just the bare MWSF call.
   for (const auto& [name, g] : engine_workloads()) {
-    support::set_forest_reference(0);
-    CliqueForest fast = CliqueForest::build(g);
-    support::set_forest_reference(1);
-    CliqueForest reference = CliqueForest::build(g);
-    support::set_forest_reference(-1);
-    EXPECT_EQ(fast.forest_edges(), reference.forest_edges()) << name;
-    EXPECT_EQ(fast.cliques(), reference.cliques()) << name;
+    CliqueForest forest = CliqueForest::build(g);
+    EXPECT_EQ(forest.cliques(), CliqueFamily(maximal_cliques_chordal(g)))
+        << name;
+    std::vector<std::pair<int, int>> reference;
+    for (const auto& e : max_weight_spanning_forest_reference(
+             forest.cliques(), g.num_vertices())) {
+      reference.emplace_back(std::min(e.a, e.b), std::max(e.a, e.b));
+    }
+    std::sort(reference.begin(), reference.end());
+    EXPECT_EQ(forest.forest_edges(), reference) << name;
   }
 }
 
@@ -335,8 +332,8 @@ TEST(ForestEngine, DriverOutputsAndTelemetryEngineInvariant) {
   // MVC through per-node local views (one Lemma 2 family selection per
   // active node per peel iteration - the engine's hottest consumer) and the
   // full MIS driver: outputs and scrubbed telemetry must be identical at
-  // every (engine, threads, cache) combination.
-  EngineRestorer restore;
+  // every thread count.
+  ThreadsRestorer restore;
   RandomChordalConfig config;
   config.n = 160;
   config.max_clique = 4;
@@ -349,24 +346,16 @@ TEST(ForestEngine, DriverOutputsAndTelemetryEngineInvariant) {
   std::vector<core::MisResult> mis_results;
   std::vector<std::string> telemetry;
   std::vector<std::string> labels;
-  for (int reference : {0, 1}) {
-    for (int cached : {1, 0}) {
-      for (int threads : {1, 2, 8}) {
-        support::set_forest_reference(reference);
-        support::set_cache_enabled(cached);
-        support::set_num_threads(threads);
-        obs::Registry reg;
-        {
-          obs::ScopedRegistry scope(reg);
-          mvc_results.push_back(core::mvc_chordal(g, options));
-          mis_results.push_back(core::mis_chordal(g));
-        }
-        telemetry.push_back(scrub_volatile(reg.to_json()));
-        labels.push_back("reference=" + std::to_string(reference) +
-                         " cached=" + std::to_string(cached) +
-                         " threads=" + std::to_string(threads));
-      }
+  for (int threads : {1, 2, 8}) {
+    support::set_num_threads(threads);
+    obs::Registry reg;
+    {
+      obs::ScopedRegistry scope(reg);
+      mvc_results.push_back(core::mvc_chordal(g, options));
+      mis_results.push_back(core::mis_chordal(g));
     }
+    telemetry.push_back(scrub_volatile(reg.to_json()));
+    labels.push_back("threads=" + std::to_string(threads));
   }
   for (std::size_t i = 1; i < mvc_results.size(); ++i) {
     EXPECT_EQ(mvc_results[0].colors, mvc_results[i].colors) << labels[i];

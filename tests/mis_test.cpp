@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "baselines/baselines.hpp"
 #include "core/mis.hpp"
 #include "graph/generators.hpp"
@@ -44,6 +46,32 @@ TEST(MisChordal, RejectsBadEps) {
                std::invalid_argument);
   EXPECT_THROW(core::mis_chordal(path_graph(4), {.eps = 0.5}),
                std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Graph g = path_graph(4);
+  Graph hubs = streaming_k_tree(2000, 3, 7);
+  using testing::rejected_by;
+  // NaN passed the `(0, 1/2)` range test and was narrowed into d.
+  EXPECT_TRUE(rejected_by("mis_chordal",
+                          [&] { core::mis_chordal(g, {.eps = nan}); }));
+  EXPECT_TRUE(rejected_by("mis_chordal",
+                          [&] { core::mis_chordal(g, {.eps = inf}); }));
+  // ceil(64/eps) = 6.4e9 overflowed int and surfaced as the internal
+  // "peel: MIS mode requires d >= 1" error.
+  EXPECT_TRUE(rejected_by("mis_chordal",
+                          [&] { core::mis_chordal(hubs, {.eps = 1e-8}); }));
+  // A negative override silently fell back to the paper's d.
+  for (int bad_d : {-5, core::kMaxMisScale + 1}) {
+    core::MisOptions bad;
+    bad.d_override = bad_d;
+    EXPECT_TRUE(rejected_by("mis_chordal", [&] { core::mis_chordal(g, bad); }))
+        << "d_override=" << bad_d;
+  }
+  // Just inside the documented cap the driver runs and stays sound.
+  core::MisResult tight = core::mis_chordal(hubs, {.eps = 1.25e-7});
+  EXPECT_EQ(tight.d, 512000000);
+  EXPECT_LE(tight.d, core::kMaxMisScale);
+  EXPECT_TRUE(testing::is_independent_set(hubs, tight.chosen));
 }
 
 TEST(MisChordal, EmptyGraph) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "baselines/baselines.hpp"
 #include "core/mvc.hpp"
@@ -69,6 +70,30 @@ TEST(MvcChordal, RejectsBadEps) {
                std::invalid_argument);
   EXPECT_THROW(core::mvc_chordal(path_graph(3), {.eps = -1.0}),
                std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Graph g = path_graph(3);
+  Graph hubs = streaming_k_tree(2000, 3, 7);
+  using testing::rejected_by;
+  // NaN and +inf slipped past `eps <= 0` and ran with k = 2.
+  EXPECT_TRUE(rejected_by("mvc_chordal",
+                          [&] { core::mvc_chordal(g, {.eps = nan}); }));
+  EXPECT_TRUE(rejected_by("mvc_chordal",
+                          [&] { core::mvc_chordal_centralized(g, nan); }));
+  EXPECT_TRUE(rejected_by("mvc_chordal",
+                          [&] { core::mvc_chordal(g, {.eps = inf}); }));
+  // ceil(2/eps) = 2e9 fits int, but 3k and 10k do not: this segfaulted.
+  EXPECT_TRUE(rejected_by("mvc_chordal",
+                          [&] { core::mvc_chordal(hubs, {.eps = 1e-9}); }));
+  EXPECT_TRUE(rejected_by("mvc_chordal",
+                          [&] { core::mvc_chordal_centralized(hubs, 1e-9); }));
+  EXPECT_TRUE(rejected_by(
+      "mvc_chordal", [&] { core::mvc_chordal(Graph(), {.eps = 1e-300}); }));
+  // Just inside the documented cap the driver runs and stays sound.
+  core::MvcResult tight = core::mvc_chordal(hubs, {.eps = 1e-8});
+  EXPECT_EQ(tight.k, 200000000);
+  EXPECT_LE(tight.k, core::kMaxMvcScale);
+  EXPECT_TRUE(testing::is_proper_coloring(hubs, tight.colors));
 }
 
 struct MvcCase {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -39,34 +40,39 @@ TEST(Ids, CheckedNarrowingAcceptsTheFullRange) {
 TEST(Ids, CheckedNarrowingThrowsTypedOverflow) {
   constexpr long long kMax =
       static_cast<long long>(std::numeric_limits<VertexId>::max());
-  if (kMax < std::numeric_limits<long long>::max()) {
-    EXPECT_THROW(checked_vertex_id(kMax + 1, "vertex count"),
-                 IdOverflowError);
-    EXPECT_THROW(checked_edge_index(kMax + 1, "adjacency volume"),
-                 IdOverflowError);
-  }
+  static_assert(kMax == std::numeric_limits<std::int32_t>::max());
+  // The >2^31-slot case: an adjacency volume past the 32-bit range.
+  EXPECT_THROW(checked_vertex_id(kMax + 1, "vertex count"), IdOverflowError);
+  EXPECT_THROW(checked_edge_index(kMax + 1, "adjacency volume"),
+               IdOverflowError);
   EXPECT_THROW(checked_vertex_id(-1, "vertex count"), IdOverflowError);
   // The typed error is still a runtime_error, so existing hostile-input
-  // handling that catches runtime_error keeps working.
+  // handling that catches runtime_error keeps working; the message names
+  // the quantity and the 32-bit range it left.
   try {
-    checked_vertex_id(-1, "vertex count");
+    checked_edge_index(kMax + 1, "adjacency volume");
     ADD_FAILURE() << "no throw";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("vertex count"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("CHORDAL_WIDE_IDS"),
-              std::string::npos);
+    EXPECT_NE(dynamic_cast<const IdOverflowError*>(&e), nullptr);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("adjacency volume"), std::string::npos) << what;
+    EXPECT_NE(what.find("32-bit id range [0, 2147483647]"),
+              std::string::npos)
+        << what;
   }
 }
 
 TEST(Ids, ReadGraphOverflowIsTyped) {
   // A header vertex count beyond the id width must raise IdOverflowError
-  // specifically (not just any runtime_error), and name the rebuild knob.
+  // specifically (not just any runtime_error), and name the 32-bit range.
   const std::string text = "9223372036854775806 0\n";
   EXPECT_THROW(graph_from_string(text), IdOverflowError);
   try {
     graph_from_string(text);
   } catch (const IdOverflowError& e) {
     EXPECT_NE(std::string(e.what()).find("read_graph"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("32-bit vertex id space"),
+              std::string::npos);
   }
 }
 

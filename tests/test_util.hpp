@@ -3,6 +3,8 @@
 #pragma once
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -17,6 +19,19 @@ inline const std::vector<std::vector<int>>& paper_cliques_1indexed() {
       {8, 9, 10},   {9, 10, 11},  {11, 12, 13}, {12, 13, 14}, {14, 15, 16},
       {15, 16, 19}, {16, 17, 18}, {19, 20, 21}, {21, 22},     {21, 23}};
   return cliques;
+}
+
+/// True iff fn throws std::invalid_argument whose message starts with
+/// "<who>:" - i.e. the named entry point's own parameter validation
+/// rejected the call, not some internal check deeper in the pipeline.
+template <typename Fn>
+bool rejected_by(const char* who, Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return std::string(e.what()).rfind(std::string(who) + ":", 0) == 0;
+  }
+  return false;
 }
 
 inline Graph paper_figure1_graph() {

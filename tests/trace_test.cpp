@@ -1,11 +1,7 @@
 // Causal event tracing (obs/trace.hpp): the trace of a run is part of its
 // deterministic output. Scrubbing wall_ns (the only wall-clock field),
 // the merged event stream of a driver run must be bit-identical across
-// thread counts {1, 2, 8} for every cache {on, off} x forest engine
-// {fast, reference} combination; across cache settings it must be
-// identical outside the cache.* events and the view-rebuild forest.build
-// events (views are rebuilt only on miss); and across engines it must be
-// identical outright (the engines agree on every chosen edge). Message
+// thread counts {1, 2, 8}, cache hit/miss/extend events included. Message
 // lineage must be causal: every net.deliver resolves through its lineage
 // id to exactly one earlier net.send.
 #include <gtest/gtest.h>
@@ -18,7 +14,6 @@
 #include "core/mvc.hpp"
 #include "graph/generators.hpp"
 #include "obs/trace.hpp"
-#include "support/cachectl.hpp"
 #include "support/parallel.hpp"
 
 namespace chordal {
@@ -39,21 +34,14 @@ Graph trace_workload() {
 /// Restores every toggle this test flips, whatever the exit path.
 class ToggleRestorer {
  public:
-  ~ToggleRestorer() {
-    support::set_num_threads(0);
-    support::set_cache_enabled(-1);
-    support::set_forest_reference(-1);
-  }
+  ~ToggleRestorer() { support::set_num_threads(0); }
 };
 
 /// One full driver run (per-node MVC + MIS) under a fresh tracer; returns
 /// the merged event stream with wall_ns zeroed (the only field allowed to
 /// vary between otherwise identical runs).
-std::vector<TraceEvent> traced_run(const Graph& g, int threads, int cache,
-                                   int reference_engine) {
+std::vector<TraceEvent> traced_run(const Graph& g, int threads) {
   support::set_num_threads(threads);
-  support::set_cache_enabled(cache);
-  support::set_forest_reference(reference_engine);
   obs::Tracer tracer;
   {
     obs::ScopedTracer scope(tracer);
@@ -68,58 +56,20 @@ std::vector<TraceEvent> traced_run(const Graph& g, int threads, int cache,
   return events;
 }
 
-/// Drops the effectiveness events that legitimately differ between cache
-/// settings: cache.* (only the cached run has hits/extends; epochs and
-/// revisions exist only there) and forest.build (local views are rebuilt
-/// per call when uncached but only on miss when cached).
-std::vector<TraceEvent> scrub_cache_events(std::vector<TraceEvent> events) {
-  std::erase_if(events, [](const TraceEvent& e) {
-    return obs::trace_event_is_cache(e.kind) ||
-           e.kind == TraceEventKind::kForestBuild;
-  });
-  // Ticks renumber once events are dropped; compare by order instead.
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    events[i].tick = static_cast<std::int64_t>(i) + 1;
-  }
-  return events;
-}
-
 TEST(TraceDeterminism, IdenticalAcrossThreadsCacheAndEngine) {
   ToggleRestorer restore;
   Graph g = trace_workload();
   const int kThreads[] = {1, 2, 8};
-
-  std::vector<TraceEvent> cross_cache_baseline;
-  for (int cache : {1, 0}) {
-    std::vector<TraceEvent> engine_baseline;
-    for (int reference : {0, 1}) {
-      std::vector<TraceEvent> thread_baseline;
-      for (int threads : kThreads) {
-        std::vector<TraceEvent> events =
-            traced_run(g, threads, cache, reference);
-        ASSERT_FALSE(events.empty());
-        if (threads == kThreads[0]) {
-          thread_baseline = events;
-        } else {
-          // The headline guarantee: scrubbed streams are bit-identical at
-          // any thread count, library events included.
-          EXPECT_EQ(thread_baseline, events)
-              << "threads=" << threads << " cache=" << cache
-              << " reference=" << reference;
-        }
-      }
-      if (reference == 0) {
-        engine_baseline = thread_baseline;
-      } else {
-        // Fast and reference forest engines choose identical edges, so
-        // even the forest.build events match.
-        EXPECT_EQ(engine_baseline, thread_baseline) << "cache=" << cache;
-      }
-    }
-    if (cache == 1) {
-      cross_cache_baseline = scrub_cache_events(engine_baseline);
+  std::vector<TraceEvent> baseline;
+  for (int threads : kThreads) {
+    std::vector<TraceEvent> events = traced_run(g, threads);
+    ASSERT_FALSE(events.empty());
+    if (threads == kThreads[0]) {
+      baseline = events;
     } else {
-      EXPECT_EQ(cross_cache_baseline, scrub_cache_events(engine_baseline));
+      // The headline guarantee: scrubbed streams are bit-identical at any
+      // thread count, library and cache events included.
+      EXPECT_EQ(baseline, events) << "threads=" << threads;
     }
   }
 }
@@ -127,7 +77,7 @@ TEST(TraceDeterminism, IdenticalAcrossThreadsCacheAndEngine) {
 TEST(TraceDeterminism, DriverEventFamiliesPresent) {
   ToggleRestorer restore;
   Graph g = trace_workload();
-  std::vector<TraceEvent> events = traced_run(g, 2, 1, 0);
+  std::vector<TraceEvent> events = traced_run(g, 2);
   auto count = [&](TraceEventKind kind) {
     return std::count_if(events.begin(), events.end(),
                          [&](const TraceEvent& e) { return e.kind == kind; });
@@ -153,7 +103,7 @@ TEST(TraceDeterminism, DriverEventFamiliesPresent) {
 TEST(TraceQuery, NodeAndRoundSlices) {
   ToggleRestorer restore;
   Graph g = trace_workload();
-  obs::TraceQuery q(traced_run(g, 2, 1, 0));
+  obs::TraceQuery q(traced_run(g, 2));
 
   // Find a peeled vertex and check the node slice is exactly its events.
   const TraceEvent* commit = nullptr;

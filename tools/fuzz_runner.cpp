@@ -2,8 +2,8 @@
 //
 // Builds the structured corpus from src/audit/fuzzers.hpp and pushes every
 // case through the invariant auditors: chordal graph cases run the full
-// differential execution matrix (threads {1,8} x cache {on,off} x engine
-// {fast,ref}) with every per-claim auditor enabled; near-chordal cases must
+// differential execution matrix (threads {1,8} x model {LOCAL, CONGEST})
+// with every per-claim auditor enabled; near-chordal cases must
 // be rejected with a typed exception; corrupted byte streams must parse
 // canonically or throw - never crash. Intended to run under ASan+UBSan:
 // any sanitizer report, crash, or auditor violation fails the gate.
