@@ -5,12 +5,12 @@
 // per-family MWSF sweep in the exact call shape of compute_local_view.
 //
 // Every table cell is an output of the forest (sizes, edge counts, weights,
-// output hashes); the counting-sort engine is checked against the reference
-// oracle by direct call in tests/forest_engine_test.cpp and in every
-// audited graph of the fuzz matrix. Timings live in the span telemetry
-// (wall_ms) and allocation counts in the engine.* counters. The before/
-// after numbers of the engine change (reference vs counting-sort) are
-// recorded in EXPERIMENTS.md E13.
+// output hashes); the engine is checked against the reference oracle by
+// direct call in tests/forest_engine_test.cpp and in every audited graph of
+// the fuzz matrix. Timings live in the span telemetry (wall_ms, with one
+// child span per build stage) and allocation counts in the engine.*
+// counters. The before/after numbers of each engine change are recorded in
+// EXPERIMENTS.md E13.
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -112,6 +112,10 @@ std::vector<Workload> workloads() {
   // weight classes collide and only the deterministic word order (integer
   // rank comparisons in the engine) decides the forest.
   out.push_back({"k_tree k=4 n=4096", random_k_tree(4096, 4, 9)});
+  // Hub-heavy: the early vertices of a random 3-tree lie in thousands of
+  // cliques, so W_G has about 5*10^6 pair occurrences for 2*10^4 cliques -
+  // the shape where enumerating W_G dominated the build.
+  out.push_back({"k_tree k=3 n=20000 (hubs)", streaming_k_tree(20000, 3, 1)});
   out.push_back(
       {"staircase n=4096", staircase_interval(4096, 0.7, 0.1, 5).graph});
   return out;

@@ -60,8 +60,8 @@ BENCHMARK(BM_CliqueForestBuild)->Range(256, 16384)->Complexity();
 
 void BM_CliqueForestBuildReference(benchmark::State& state) {
   // The reference oracle, called directly on the extracted cliques:
-  // sorted-merge intersection weights, comparator-based edge sort. The gap
-  // to BM_CliqueForestBuild is the counting-sort engine's construction win.
+  // all of W_G, sorted-merge intersection weights, comparator-based edge
+  // sort. The gap to BM_CliqueForestBuild is the engine's construction win.
   auto gen = workload(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(max_weight_spanning_forest_reference(

@@ -61,8 +61,9 @@ void audit_graph_csr(const Graph& g);
 /// graph) edges, i.e. it spans every component.
 void audit_clique_forest(const Graph& g, const CliqueForest& forest);
 
-/// Theorem 2 uniqueness, differentially: the counting-sort engine and the
-/// reference sorted-merge Kruskal select the identical spanning forest.
+/// Theorem 2 uniqueness, differentially: the separator-candidate engine and
+/// the reference Kruskal over all of W_G select the identical spanning
+/// forest.
 void audit_forest_engine_parity(const CliqueFamily& cliques,
                                 int num_graph_vertices);
 

@@ -85,7 +85,6 @@ struct Engine {
       : g(graph),
         options(opts),
         bw(local::current_bandwidth()),
-        forest(CliqueForest::build(graph)),
         metric_logs(static_cast<std::size_t>(support::num_threads())) {}
 
   /// Transfer rounds for a `words`-sized logical message: 0 under LOCAL,
@@ -97,6 +96,7 @@ struct Engine {
   void run() {
     obs::Span span("MVC Algorithm 2 (Theorem 4)");
     telemetry = span.live();
+    forest = CliqueForest::build(g);  // child spans per build stage
     result.omega = 0;
     for (const auto& clique : forest.cliques()) {
       result.omega = std::max(result.omega, static_cast<int>(clique.size()));

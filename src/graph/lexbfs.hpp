@@ -11,9 +11,11 @@
 
 namespace chordal {
 
-/// Lex-BFS visit order (first visited vertex first). Deterministic: ties are
-/// broken by smallest vertex id within the lexicographically largest label
-/// class, starting from the smallest-id vertex of each component.
+/// Lex-BFS visit order (first visited vertex first) in O(n + m) by linked-
+/// list partition refinement. Deterministic: ties are broken by smallest
+/// vertex id within the lexicographically largest label class, starting
+/// from the smallest-id vertex of each component. Works on any graph (the
+/// order is a PEO candidate only for chordal ones).
 std::vector<int> lexbfs_order(const Graph& g);
 
 }  // namespace chordal

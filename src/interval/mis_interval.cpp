@@ -109,11 +109,20 @@ std::int64_t mis_component(const PathIntervals& reduced,
 }  // namespace
 
 IntervalMisResult approx_mis_interval(const PathIntervals& rep, double eps) {
-  if (eps <= 0.0 || eps >= 1.0) {
+  // Validated in double before any int narrowing: NaN slips past a plain
+  // `eps <= 0 || eps >= 1`, and a tiny eps makes ceil(2.5/eps + 0.5) (or
+  // the 10k diameter threshold) overflow int.
+  if (!(eps > 0.0 && eps < 1.0)) {
     throw std::invalid_argument("approx_mis_interval: eps outside (0,1)");
   }
+  const double scale = std::ceil(2.5 / eps + 0.5);
+  if (scale > kMaxIntervalMisScale) {
+    throw std::invalid_argument(
+        "approx_mis_interval: eps too small (ceil(2.5/eps + 0.5) exceeds "
+        "kMaxIntervalMisScale)");
+  }
   IntervalMisResult result;
-  result.k = static_cast<int>(std::ceil(2.5 / eps + 0.5));
+  result.k = static_cast<int>(scale);
 
   // Domination reduction; checking Gamma[v] strictly-contains Gamma[u] is a
   // 2-round local test.

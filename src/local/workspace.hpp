@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "cliqueforest/local_view.hpp"
-#include "cliqueforest/wcig.hpp"
+#include "cliqueforest/forest.hpp"
 #include "graph/graph.hpp"
 #include "local/ball.hpp"
 #include "obs/metrics.hpp"

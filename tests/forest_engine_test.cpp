@@ -1,20 +1,23 @@
 // Differential fuzz suite for the near-linear clique-forest engine: the
-// counting-sort, rank-indexed, scratch-based MWSF construction
-// (wcig_edges_counting / max_weight_spanning_forest / family_forest_edges)
-// must be bit-identical to the allocating reference oracle
-// (wcig_edges + wcig_edge_less + max_weight_spanning_forest_reference) on
+// separator-candidate MWSF (max_weight_spanning_forest, which never
+// enumerates W_G) and the per-family selection (family_forest_edges) must
+// be bit-identical to the allocating reference oracle (full W_G via
+// wcig_edges + wcig_edge_less + max_weight_spanning_forest_reference) on
 // every workload - including the all-equal-weight tie storms of k-trees
-// and unit-interval chains, where only the paper's deterministic
-// (weight, word, word) order separates the candidate edges. The oracle is
-// called directly, here and by audit_forest_engine_parity; no library build
-// path reaches it. On top of the construction-level checks, the drivers (MVC
-// with per-node local views, MIS) must produce identical outputs and
-// identical scrubbed telemetry at every thread count (1/2/8).
+// (with hub vertices in thousands of cliques) and unit-interval chains,
+// where only the paper's deterministic (weight, word, word) order separates
+// the candidate edges - and every compared forest must pass
+// CliqueForest::verify. The oracle is called directly, here and by
+// audit_forest_engine_parity; no library build path reaches it. On top of
+// the construction-level checks, the drivers (MVC with per-node local
+// views, MIS) must produce identical outputs and identical scrubbed
+// telemetry at every thread count (1/2/8).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -195,48 +198,156 @@ std::string scrub_volatile(const std::string& json) {
   return out;
 }
 
-TEST(ForestEngine, WcigCountingMatchesReference) {
-  ForestScratch scratch;  // shared across workloads: epochs must not leak
+/// Engine vs oracle on one clique family of `g` (any order): identical
+/// chosen edges in identical order, and the forest built from the family
+/// passes CliqueForest::verify and carries exactly those edges.
+void expect_engine_matches_reference(
+    const std::string& name, const Graph& g,
+    const std::vector<std::vector<int>>& cliques, ForestScratch& scratch) {
   std::vector<WcigEdge> fast;
-  for (const auto& [name, g] : engine_workloads()) {
-    auto cliques = maximal_cliques_chordal(g);
-    auto reference = wcig_edges(cliques, g.num_vertices());
-    wcig_edges_counting(CliqueFamily(cliques), g.num_vertices(), scratch,
-                        fast);
-    EXPECT_EQ(flat(reference), flat(fast)) << name;
+  auto reference =
+      max_weight_spanning_forest_reference(cliques, g.num_vertices());
+  max_weight_spanning_forest(CliqueFamily(cliques), g.num_vertices(), scratch,
+                             fast);
+  EXPECT_EQ(flat(reference), flat(fast)) << name;
+  CliqueForest forest = CliqueForest::from_cliques(cliques, g.num_vertices());
+  EXPECT_NO_THROW(forest.verify(g)) << name;
+  std::vector<std::pair<int, int>> pairs;
+  for (const auto& e : reference) pairs.emplace_back(e.a, e.b);
+  std::sort(pairs.begin(), pairs.end());
+  EXPECT_EQ(forest.forest_edges(), pairs) << name;
+}
+
+/// A k-tree whose vertices attach, with probability 1/2 each, to a k-clique
+/// through vertex 0: vertex 0 lands in about half of all cliques, the hub
+/// shape that makes W_G quadratic. k = 1 gives a random tree with a star
+/// core.
+Graph hub_k_tree(int n, int k, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  GraphBuilder b(n);
+  std::vector<std::vector<int>> all, through_hub;
+  auto add_k_clique = [&](std::vector<int> clique) {
+    if (std::find(clique.begin(), clique.end(), 0) != clique.end()) {
+      through_hub.push_back(clique);
+    }
+    all.push_back(std::move(clique));
+  };
+  for (int u = 0; u <= k; ++u) {
+    for (int w = u + 1; w <= k; ++w) b.add_edge(u, w);
   }
+  for (int skip = 0; skip <= k; ++skip) {
+    std::vector<int> clique;
+    for (int u = 0; u <= k; ++u) {
+      if (u != skip) clique.push_back(u);
+    }
+    add_k_clique(std::move(clique));
+  }
+  for (int v = k + 1; v < n; ++v) {
+    const auto& pool = (rng() % 2 == 0 && !through_hub.empty()) ? through_hub
+                                                                  : all;
+    const std::vector<int> host = pool[rng() % pool.size()];
+    for (int u : host) b.add_edge(u, v);
+    for (std::size_t drop = 0; drop < host.size(); ++drop) {
+      std::vector<int> clique;
+      for (std::size_t i = 0; i < host.size(); ++i) {
+        if (i != drop) clique.push_back(host[i]);
+      }
+      clique.push_back(v);
+      add_k_clique(std::move(clique));
+    }
+  }
+  return b.build();
+}
+
+/// Vertex-disjoint union of `parts`, in order (part i's vertex v becomes
+/// v plus the sizes of the parts before it).
+Graph disjoint_union(const std::vector<const Graph*>& parts) {
+  int n = 0;
+  for (const Graph* part : parts) n += part->num_vertices();
+  GraphBuilder b(n);
+  int base = 0;
+  for (const Graph* part : parts) {
+    for (auto [u, v] : part->edges()) b.add_edge(base + u, base + v);
+    base += part->num_vertices();
+  }
+  return b.build();
 }
 
 TEST(ForestEngine, MwsfMatchesReferenceOnCanonicalFamilies) {
-  ForestScratch scratch;
-  std::vector<WcigEdge> fast;
+  ForestScratch scratch;  // shared across workloads: epochs must not leak
   for (const auto& [name, g] : engine_workloads()) {
     auto cliques = maximal_cliques_chordal(g);
     ASSERT_TRUE(cliques_lex_sorted(cliques)) << name;
-    auto reference =
-        max_weight_spanning_forest_reference(cliques, g.num_vertices());
-    max_weight_spanning_forest(CliqueFamily(cliques), g.num_vertices(),
-                               scratch, fast);
-    EXPECT_EQ(flat(reference), flat(fast)) << name;
+    expect_engine_matches_reference(name, g, cliques, scratch);
   }
 }
 
 TEST(ForestEngine, MwsfMatchesReferenceOnShuffledFamilies) {
   // Non-canonical clique order exercises the explicit lexicographic
-  // ranking + radix reorder path; the reference compares words directly and
-  // is order-robust by construction.
+  // ranking path; the reference compares words directly and is
+  // order-robust by construction.
   ForestScratch scratch;
-  std::vector<WcigEdge> fast;
   std::mt19937 rng(20240807);
   for (const auto& [name, g] : engine_workloads()) {
     auto cliques = maximal_cliques_chordal(g);
     std::shuffle(cliques.begin(), cliques.end(), rng);
-    auto reference =
-        max_weight_spanning_forest_reference(cliques, g.num_vertices());
-    max_weight_spanning_forest(CliqueFamily(cliques), g.num_vertices(),
-                               scratch, fast);
-    EXPECT_EQ(flat(reference), flat(fast)) << name;
+    expect_engine_matches_reference(name, g, cliques, scratch);
   }
+}
+
+TEST(ForestEngine, MwsfMatchesReferenceOnHubKTrees) {
+  // k = 1..6 with a forced hub, canonical and shuffled, plus one random
+  // 3-tree at n = 2*10^4 (about 5*10^6 W_G pair occurrences for the
+  // oracle, about one engine candidate per clique).
+  ForestScratch scratch;
+  std::mt19937 rng(7);
+  for (int k = 1; k <= 6; ++k) {
+    for (std::uint64_t seed : {1, 2}) {
+      const std::string name =
+          "hub_k_tree k=" + std::to_string(k) + " seed=" + std::to_string(seed);
+      Graph g = hub_k_tree(400 + 100 * k, k, seed);
+      auto cliques = maximal_cliques_chordal(g);
+      expect_engine_matches_reference(name, g, cliques, scratch);
+      std::shuffle(cliques.begin(), cliques.end(), rng);
+      expect_engine_matches_reference(name + " shuffled", g, cliques, scratch);
+    }
+  }
+  Graph big = random_k_tree(20000, 3, 11);
+  expect_engine_matches_reference("random_k_tree n=20000 k=3", big,
+                                  maximal_cliques_chordal(big), scratch);
+}
+
+TEST(ForestEngine, MwsfMatchesReferenceOnDisjointUnions) {
+  // Components share no vertex, so W_G and the forest split; isolated
+  // vertices and single-clique components become roots of their own.
+  ForestScratch scratch;
+  std::mt19937 rng(99);
+  auto workloads = engine_workloads();
+  for (std::size_t i = 0; i + 2 < workloads.size(); i += 3) {
+    Graph g = disjoint_union({&workloads[i].second, &workloads[i + 1].second,
+                              &workloads[i + 2].second});
+    const std::string name = "union of " + workloads[i].first + ", " +
+                             workloads[i + 1].first + ", " +
+                             workloads[i + 2].first;
+    auto cliques = maximal_cliques_chordal(g);
+    expect_engine_matches_reference(name, g, cliques, scratch);
+    std::shuffle(cliques.begin(), cliques.end(), rng);
+    expect_engine_matches_reference(name + " shuffled", g, cliques, scratch);
+  }
+}
+
+TEST(ForestEngine, RejectsFamilyWithoutCliqueTree) {
+  // The three edges of a triangle pairwise intersect but admit no clique
+  // tree: no chordal graph has them as its maximal cliques. The engine's
+  // running-intersection check rejects the family with a typed error.
+  ForestScratch scratch;
+  std::vector<WcigEdge> out;
+  const CliqueFamily triangle({{0, 1}, {1, 2}, {0, 2}});
+  EXPECT_THROW(max_weight_spanning_forest(triangle, 3, scratch, out),
+               std::invalid_argument);
+  EXPECT_THROW(max_weight_spanning_forest(CliqueFamily({{0, 1}, {1, 5}}), 3,
+                                          scratch, out),
+               std::out_of_range);
 }
 
 TEST(ForestEngine, FamilyEngineMatchesPerFamilyReference) {

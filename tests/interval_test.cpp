@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "graph/components.hpp"
@@ -251,6 +253,24 @@ TEST_P(ColIntGraphSeeds, ApproxMisMeetsRatio) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ColIntGraphSeeds,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST(ApproxMisInterval, RejectsBadEps) {
+  // NaN passes a plain `eps <= 0 || eps >= 1` guard, and below about
+  // 1.2e-8 the scale ceil(2.5/eps + 0.5) (and its 10k diameter threshold)
+  // no longer fits in int: all must be typed rejections naming the entry
+  // point, not an internal error from deeper down.
+  auto rep = rep_from_random(50, 30.0, 4.0, 2);
+  for (double eps : {std::nan(""), 1e-9, 1e-12, 0.0, -0.5, 1.0,
+                     std::numeric_limits<double>::infinity()}) {
+    EXPECT_TRUE(testing::rejected_by("approx_mis_interval", [&] {
+      (void)interval::approx_mis_interval(rep, eps);
+    })) << "eps=" << eps;
+  }
+  // Just inside the cap the algorithm runs and stays sound.
+  auto result = interval::approx_mis_interval(rep, 2e-8);
+  EXPECT_LE(result.k, interval::kMaxIntervalMisScale);
+  EXPECT_EQ(static_cast<int>(result.chosen.size()), interval::alpha(rep));
+}
 
 TEST(AbsorbingMis, IsAlwaysOptimal) {
   for (std::uint64_t seed : {1u, 4u, 6u}) {
