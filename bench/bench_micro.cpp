@@ -14,7 +14,6 @@
 #include "graph/generators.hpp"
 #include "graph/peo.hpp"
 #include "local/ball.hpp"
-#include "local/ball_cache.hpp"
 #include "local/workspace.hpp"
 #include "support/parallel.hpp"
 
@@ -109,27 +108,19 @@ void BM_FamilyMwsfReference(benchmark::State& state) {
 }
 BENCHMARK(BM_FamilyMwsfReference);
 
-void BM_BallCollection(benchmark::State& state) {
-  auto gen = workload(2048);
-  int v = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        local::collect_ball(gen.graph, v, static_cast<int>(state.range(0))));
-    v = (v + 37) % gen.graph.num_vertices();
-  }
-}
-BENCHMARK(BM_BallCollection)->DenseRange(2, 14, 4);
-
 void BM_BallCollectionRestricted(benchmark::State& state) {
   // The drivers' actual call shape: collection inside an activity mask.
   auto gen = workload(2048);
   std::vector<char> active(
       static_cast<std::size_t>(gen.graph.num_vertices()), 1);
   for (int v = 0; v < gen.graph.num_vertices(); v += 5) active[v] = 0;
+  local::BallWorkspace ws;
+  local::Ball ball;
   int v = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(local::collect_ball(
-        gen.graph, v, static_cast<int>(state.range(0)), &active));
+    local::collect_ball(gen.graph, v, static_cast<int>(state.range(0)),
+                        &active, nullptr, ws, ball);
+    benchmark::DoNotOptimize(ball.vertices.data());
     do {
       v = (v + 37) % gen.graph.num_vertices();
     } while (!active[v]);
@@ -138,9 +129,8 @@ void BM_BallCollectionRestricted(benchmark::State& state) {
 BENCHMARK(BM_BallCollectionRestricted)->DenseRange(2, 14, 4);
 
 void BM_BallCollectionWorkspace(benchmark::State& state) {
-  // Workspace form: same balls as BM_BallCollection, zero O(n) clears and
-  // zero steady-state allocations. The ratio to BM_BallCollection is the
-  // per-call allocation/clear overhead of the naive path.
+  // Unrestricted collection: zero O(n) clears and zero steady-state
+  // allocations once the workspace is warm.
   auto gen = workload(2048);
   local::BallWorkspace ws;
   local::Ball ball;
@@ -154,39 +144,6 @@ void BM_BallCollectionWorkspace(benchmark::State& state) {
 }
 BENCHMARK(BM_BallCollectionWorkspace)->DenseRange(2, 14, 4);
 
-void BM_BallCollectionCached(benchmark::State& state) {
-  // Repeat-query steady state: the drivers re-query the same centers every
-  // peel iteration, so this cycles over 64 fixed centers at a fixed radius
-  // with no deactivations - after the first lap every lookup is a pure
-  // cache hit. The hits/misses counters land in the --benchmark JSON as the
-  // cache-effectiveness record; BM_BallCollectionWorkspace is the uncached
-  // baseline.
-  auto gen = workload(2048);
-  local::BallCache cache(gen.graph);
-  const int n = gen.graph.num_vertices();
-  int i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cache.shard(0).collect_ball((i * 131) % n,
-                                    static_cast<int>(state.range(0))));
-    i = (i + 1) % 64;
-  }
-  local::BallCache::Stats stats = cache.stats();
-  state.counters["hits"] = static_cast<double>(stats.hits);
-  state.counters["misses"] = static_cast<double>(stats.misses);
-}
-BENCHMARK(BM_BallCollectionCached)->DenseRange(2, 14, 4);
-
-void BM_LocalView(benchmark::State& state) {
-  auto gen = workload(1024);
-  int v = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compute_local_view(gen.graph, v, 6));
-    v = (v + 41) % gen.graph.num_vertices();
-  }
-}
-BENCHMARK(BM_LocalView);
-
 void BM_LocalViewWorkspace(benchmark::State& state) {
   auto gen = workload(1024);
   local::BallWorkspace ws;
@@ -199,22 +156,6 @@ void BM_LocalViewWorkspace(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LocalViewWorkspace);
-
-void BM_LocalViewCached(benchmark::State& state) {
-  // Same repeat-query pattern as BM_BallCollectionCached, for full views.
-  auto gen = workload(1024);
-  local::BallCache cache(gen.graph);
-  const int n = gen.graph.num_vertices();
-  int i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.shard(0).local_view((i * 131) % n, 6).view);
-    i = (i + 1) % 64;
-  }
-  local::BallCache::Stats stats = cache.stats();
-  state.counters["hits"] = static_cast<double>(stats.hits);
-  state.counters["misses"] = static_cast<double>(stats.misses);
-}
-BENCHMARK(BM_LocalViewCached);
 
 void BM_MvcEndToEnd(benchmark::State& state) {
   auto gen = workload(static_cast<int>(state.range(0)));

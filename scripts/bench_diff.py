@@ -9,9 +9,10 @@ with absolute and relative change.
 --parity mode instead checks that the two files are byte-equivalent once
 timing fields and effectiveness metadata are scrubbed: wall_ms on spans,
 real/cpu times and run metadata on google-benchmark output, and every
-cache.* counter/gauge/histogram and engine.* counter (cache hit accounting
-and allocation accounting) - they are effectiveness telemetry, not output,
-and may differ between checkouts that compute the same outputs. The telemetry
+cache.* counter/gauge/histogram and engine.* counter (path-cache hit
+accounting and allocation accounting) - they are effectiveness telemetry,
+not output, and may differ between checkouts that compute the same
+outputs. The telemetry
 "schema" marker (absent = v1, present = v2+) is scrubbed too, so reports
 from either side of the versioning change compare clean.
 Exits nonzero and reports the first differences when anything else differs.
@@ -54,23 +55,17 @@ TIMING_KEYS = {
     "rms",
 }
 
-# Cache-effectiveness counters: google-benchmark flattens state.counters
-# into top-level keys, so the cached micro-benchmarks report bare
-# "hits"/"misses" rather than cache.*-prefixed names.
-CACHE_COUNTER_KEYS = {"hits", "misses"}
-
-
-def is_cache_key(key):
-    return key.startswith("cache.") or key in CACHE_COUNTER_KEYS
-
 
 def is_effectiveness_key(key):
-    # engine.* counters (e.g. bench_forest's per-phase allocation counts)
+    # cache.* counters (the path cache's hit accounting) and engine.*
+    # counters (e.g. bench_forest's per-phase allocation counts)
     # measure *how* a configurable engine did the work, not *what* it
     # produced; the fast and reference forest engines legitimately differ
     # on them while agreeing on every output cell. The schema marker is
     # format versioning, not output.
-    return is_cache_key(key) or key.startswith("engine.") or key == "schema"
+    return (
+        key.startswith("cache.") or key.startswith("engine.") or key == "schema"
+    )
 
 
 def check_schema(doc, path):

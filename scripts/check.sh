@@ -10,10 +10,12 @@
 # telemetry report), the scale and dynamic-churn smokes, and the
 # bench-regression gate (a fresh bench_all.sh run must stay within
 # tolerance of the committed BENCH_*.json baselines).
-# All must pass. The caches, the forest engine and the 32-bit id slabs have
-# one production path each; their oracles (uncached workspace calls, the
-# reference Kruskal, the checked_* narrowing guards) are called directly
-# by the ctest suites above.
+# All must pass. Ball and local-view collection (the BallWorkspace
+# engine), the path-metric cache, the forest engine and the 32-bit id slabs
+# have one production path each; their oracles (the allocating ball and
+# view forms of tests/local_oracle.hpp, the plain path_* metrics, the
+# reference Kruskal, the checked_* narrowing guards) are called directly by
+# the ctest suites above.
 #
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
@@ -71,7 +73,7 @@ echo
 echo "== Trace smoke (--trace output validates against telemetry) =="
 # One driver bench (no Network) and one message-passing bench: between
 # them every event family is exercised — phases, peel/color/MIS decisions,
-# cache traffic, forest builds, and network send/deliver lineage.
+# forest builds, and network send/deliver lineage.
 "$repo/build-release/bench/bench_mvc_rounds" \
   --trace "$smoke_dir/mvc.trace.json" --json "$smoke_dir/mvc.json" >/dev/null
 python3 "$repo/scripts/trace_check.py" "$smoke_dir/mvc.trace.json" \

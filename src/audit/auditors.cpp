@@ -353,8 +353,8 @@ void signature_spans(const obs::SpanNode& node, std::ostringstream& out,
 
 /// Everything deterministic in the registry: counters, gauges, histogram
 /// sample moments, and the span tree with LOCAL-model charges - excluding
-/// only wall times. The cache.* statistics are included: the caches are
-/// the only path, and their counters are thread-count invariant.
+/// only wall times. The path cache's cache.path.* statistics are included:
+/// the cache is the only path, and its counters are thread-count invariant.
 std::string telemetry_signature(const obs::Registry& reg) {
   std::ostringstream out;
   for (const auto& [name, counter] : reg.counters()) {

@@ -112,8 +112,8 @@ struct DriverAuditResult {
   std::int64_t mvc_rounds = 0;
   std::int64_t mis_rounds = 0;
   int num_layers = 0;
-  /// Registry signature: counters/gauges/histograms (cache.* statistics
-  /// included) plus the span tree without wall times.
+  /// Registry signature: counters/gauges/histograms (cache.path.*
+  /// statistics included) plus the span tree without wall times.
   std::string telemetry;
 };
 
@@ -157,11 +157,8 @@ struct UpdateScheduleStats {
 /// config: random edge/vertex inserts and deletes (the certifier decides
 /// validity; every rejection's witness is checked to be a genuine chordless
 /// cycle of the would-be graph) plus injected guaranteed-violating updates
-/// that MUST be rejected. audit_dynamic_parity runs after every step. A
-/// BallCache rides along: periodically rebound to a fresh materialize()
-/// snapshot, reconciled through invalidate_touched / reactivate /
-/// deactivate from the facade's dirty region, and probed against fresh
-/// ball collection. The final signature lands in *final.
+/// that MUST be rejected. audit_dynamic_parity runs after every step. The
+/// final signature lands in *final.
 UpdateScheduleStats run_update_schedule_audit(
     const Graph& base, std::uint64_t seed, int steps,
     const DriverAuditConfig& config, DynamicChordal::Signature* final_sig);

@@ -20,11 +20,7 @@
 //
 // After every step, audit_dynamic_parity asserts the incrementally
 // repaired state (colors, MIS, clique family, forest) is bit-identical to
-// full recomputation on the alive-induced graph. A BallCache rides along
-// and is periodically rebound to a fresh snapshot, reconciled purely from
-// the facade's dirty region, and probed against fresh ball collection -
-// the dynamic contract of invalidate_touched / reactivate / deactivate
-// under real churn.
+// full recomputation on the alive-induced graph.
 #include <algorithm>
 #include <deque>
 #include <string>
@@ -32,8 +28,6 @@
 #include <vector>
 
 #include "audit/auditors.hpp"
-#include "local/ball.hpp"
-#include "local/ball_cache.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 
@@ -110,44 +104,6 @@ std::vector<int> greedy_clique_around(const DynamicGraph& g, int u, Rng& rng) {
   return clique;
 }
 
-/// Keeps a riding BallCache coherent with the facade using only the dirty
-/// region, then probes cached balls against fresh collection.
-void sync_and_probe_cache(DynamicChordal& dc, Graph& snap,
-                          local::BallCache& cache, Rng& rng) {
-  snap = dc.materialize();
-  cache.rebind(snap);
-  cache.invalidate_touched(dc.touched());
-  std::vector<int> on, off;
-  for (int v = 0; v < dc.graph().num_slots(); ++v) {
-    bool want = dc.graph().alive(v);
-    bool have = cache.active()[static_cast<std::size_t>(v)] != 0;
-    if (want && !have) on.push_back(v);
-    if (!want && have) off.push_back(v);
-  }
-  cache.reactivate(on);
-  cache.deactivate(off);
-  dc.drain_touched();
-  std::vector<int> alive = dc.graph().alive_vertices();
-  if (alive.empty()) return;
-  for (int probe = 0; probe < 4; ++probe) {
-    int v = pick(alive, rng);
-    int radius = 1 + static_cast<int>(rng.next_below(3));
-    local::Ball fresh =
-        local::collect_ball(snap, v, radius, &cache.active(), nullptr);
-    const local::Ball& got = cache.shard(0).collect_ball(v, radius);
-    if (fresh.vertices != got.vertices || fresh.dist != got.dist) {
-      fail("riding BallCache serves fresh-identical balls under churn",
-           "center " + std::to_string(v) + " radius " +
-               std::to_string(radius) + " after " +
-               std::to_string(dc.stats().edge_inserts +
-                              dc.stats().edge_deletes +
-                              dc.stats().vertex_inserts +
-                              dc.stats().vertex_deletes) +
-               " updates");
-    }
-  }
-}
-
 std::string dyn_summary(const DynamicChordal& dc) {
   const DynamicStats& s = dc.stats();
   return "alive " + std::to_string(dc.graph().num_alive()) + ", edges " +
@@ -189,14 +145,8 @@ UpdateScheduleStats run_update_schedule_audit(
 
   DynamicChordal dc(base);
   audit_dynamic_parity(dc);
-  Graph snap = dc.materialize();
-  local::BallCache cache(snap);
-  dc.drain_touched();
 
   Rng rng(seed ^ 0xdf11a1c5u);
-  // The cache probes draw from their own generator, so the op stream stays
-  // a function of (base, seed, steps) alone.
-  Rng probe_rng(seed ^ 0xba11cac4eULL);
   UpdateScheduleStats stats;
   // Recently deleted edges, re-insertable as guaranteed-interesting moves.
   std::deque<std::pair<int, int>> deleted_edges;
@@ -374,9 +324,6 @@ UpdateScheduleStats run_update_schedule_audit(
     }
 
     audit_dynamic_parity(dc);
-    if (step % 5 == 4 || step + 1 == steps) {
-      sync_and_probe_cache(dc, snap, cache, probe_rng);
-    }
   }
 
   if (final_sig != nullptr) *final_sig = dc.signature();

@@ -22,33 +22,48 @@ bool is_perfect_elimination_order(const Graph& g,
                                   const EliminationOrder& peo) {
   const int n = g.num_vertices();
   if (static_cast<int>(peo.order.size()) != n) return false;
+  const std::vector<int>& pos = peo.position;
   // Deferred check: for each v, let u = the later neighbor of v closest to v
   // in the order ("follower"). Then the PEO property holds iff
-  // N_later(v) \ {u} is always a subset of N(u). Accumulate the required
-  // adjacencies at u and verify them with one pass over u's neighborhood.
-  std::vector<std::vector<int>> required(static_cast<std::size_t>(n));
-  for (int v : peo.order) {
-    int follower = -1;
-    for (int w : g.neighbors(v)) {
-      if (peo.position[w] <= peo.position[v]) continue;
-      if (follower == -1 || peo.position[w] < peo.position[follower]) {
-        follower = w;
-      }
+  // N_later(v) \ {u} is always a subset of N(u). The required adjacencies
+  // are counting-sorted by follower into one flat slab (u's entries at
+  // required[start[u], start[u+1])) and verified with one pass over each
+  // follower's neighborhood.
+  std::vector<int> follower(static_cast<std::size_t>(n), -1);
+  std::vector<EdgeIndex> start(static_cast<std::size_t>(n) + 2, 0);
+  for (int v = 0; v < n; ++v) {
+    int f = -1;
+    EdgeIndex later = 0;
+    for (VertexId w : g.neighbors(v)) {
+      if (pos[w] <= pos[v]) continue;
+      ++later;
+      if (f == -1 || pos[w] < pos[f]) f = w;
     }
-    if (follower == -1) continue;
-    for (int w : g.neighbors(v)) {
-      if (peo.position[w] > peo.position[v] && w != follower) {
-        required[follower].push_back(w);
+    follower[v] = f;
+    if (f != -1) start[static_cast<std::size_t>(f) + 2] += later - 1;
+  }
+  for (std::size_t i = 2; i < start.size(); ++i) start[i] += start[i - 1];
+  // Filling through start[f + 1] advances it to the end of f's range, which
+  // leaves start[u] at the beginning of u's range for every u.
+  std::vector<int> required(static_cast<std::size_t>(start[n + 1]));
+  for (int v = 0; v < n; ++v) {
+    const int f = follower[v];
+    if (f == -1) continue;
+    for (VertexId w : g.neighbors(v)) {
+      if (pos[w] > pos[v] && w != f) {
+        required[static_cast<std::size_t>(start[f + 1]++)] = w;
       }
     }
   }
   std::vector<char> mark(static_cast<std::size_t>(n), 0);
   for (int u = 0; u < n; ++u) {
-    if (required[u].empty()) continue;
-    for (int w : g.neighbors(u)) mark[w] = 1;
+    if (start[u] == start[u + 1]) continue;
+    for (VertexId w : g.neighbors(u)) mark[w] = 1;
     bool ok = true;
-    for (int w : required[u]) ok = ok && mark[w];
-    for (int w : g.neighbors(u)) mark[w] = 0;
+    for (EdgeIndex i = start[u]; i < start[u + 1]; ++i) {
+      ok = ok && mark[required[static_cast<std::size_t>(i)]];
+    }
+    for (VertexId w : g.neighbors(u)) mark[w] = 0;
     if (!ok) return false;
   }
   return true;

@@ -49,19 +49,12 @@ class RoundLedger {
 };
 
 /// A node's collected distance-`radius` ball in the subgraph induced by
-/// {u : active == nullptr || (*active)[u]}.
+/// {u : active == nullptr || (*active)[u]}; filled by the workspace
+/// collect_ball (local/workspace.hpp).
 struct Ball {
   std::vector<VertexId> vertices;  // BFS order; vertices[0] == center
   Graph graph;   // induced subgraph, indices into `vertices`
   std::vector<int> dist;  // distance from center, per local index
 };
-
-/// Collects the ball and charges the collection rounds to `center` on the
-/// ledger (if provided): `radius` under LOCAL (flooding d hops costs d
-/// rounds), max(radius, ceil(volume / (deg * B))) under CONGEST (see
-/// local/bandwidth.hpp ball_collection_rounds).
-Ball collect_ball(const Graph& g, int center, int radius,
-                  const std::vector<char>* active = nullptr,
-                  RoundLedger* ledger = nullptr);
 
 }  // namespace chordal::local

@@ -119,9 +119,7 @@ inline std::int64_t edge_report_words(std::int64_t edges) {
 /// adjacency size). LOCAL: r rounds, one hop each. CONGEST: the center's
 /// `degree` incident edges each carry B words per round, so draining the
 /// volume takes at least ceil(volume / (degree * B)) rounds and never fewer
-/// than the r hops of distance. Pure in (radius, volume, degree, bw, n) so
-/// the BallCache hit path replays charges bit-identically to a fresh
-/// collection.
+/// than the r hops of distance. Pure in (radius, volume, degree, bw, n).
 std::int64_t ball_collection_rounds(std::int64_t radius,
                                     std::int64_t volume_words,
                                     std::int64_t degree,

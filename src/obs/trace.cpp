@@ -52,14 +52,6 @@ KindInfo kind_info(TraceEventKind kind) {
       return {"color.recolor", "color"};
     case TraceEventKind::kMisPick:
       return {"mis.pick", "mis"};
-    case TraceEventKind::kCacheHit:
-      return {"cache.hit", "cache"};
-    case TraceEventKind::kCacheMiss:
-      return {"cache.miss", "cache"};
-    case TraceEventKind::kCacheExtend:
-      return {"cache.extend", "cache"};
-    case TraceEventKind::kCacheInvalidate:
-      return {"cache.invalidate", "cache"};
     case TraceEventKind::kForestBuild:
       return {"forest.build", "forest"};
     case TraceEventKind::kNetFragment:

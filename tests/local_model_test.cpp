@@ -11,6 +11,7 @@
 #include "local/luby.hpp"
 #include "local/network.hpp"
 #include "local/ruling_set.hpp"
+#include "local/workspace.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "test_util.hpp"
@@ -218,7 +219,9 @@ TEST(RoundLedgerTest, ClocksAndSynchronization) {
 TEST(CollectBall, ChargesRadiusRounds) {
   Graph g = path_graph(9);
   RoundLedger ledger(9);
-  auto ball = local::collect_ball(g, 4, 2, nullptr, &ledger);
+  local::BallWorkspace ws;
+  local::Ball ball;
+  local::collect_ball(g, 4, 2, nullptr, &ledger, ws, ball);
   EXPECT_EQ(ledger.clock(4), 2);
   EXPECT_EQ(ball.vertices.size(), 5u);
   EXPECT_EQ(ball.vertices[0], 4);

@@ -1,7 +1,7 @@
 // Causal event tracing (obs/trace.hpp): the trace of a run is part of its
 // deterministic output. Scrubbing wall_ns (the only wall-clock field),
 // the merged event stream of a driver run must be bit-identical across
-// thread counts {1, 2, 8}, cache hit/miss/extend events included. Message
+// thread counts {1, 2, 8}, per-family forest-build events included. Message
 // lineage must be causal: every net.deliver resolves through its lineage
 // id to exactly one earlier net.send.
 #include <gtest/gtest.h>
@@ -56,7 +56,7 @@ std::vector<TraceEvent> traced_run(const Graph& g, int threads) {
   return events;
 }
 
-TEST(TraceDeterminism, IdenticalAcrossThreadsCacheAndEngine) {
+TEST(TraceDeterminism, IdenticalAcrossThreadsDriversAndForestEngine) {
   ToggleRestorer restore;
   Graph g = trace_workload();
   const int kThreads[] = {1, 2, 8};
@@ -68,7 +68,7 @@ TEST(TraceDeterminism, IdenticalAcrossThreadsCacheAndEngine) {
       baseline = events;
     } else {
       // The headline guarantee: scrubbed streams are bit-identical at any
-      // thread count, library and cache events included.
+      // thread count, library forest-build events included.
       EXPECT_EQ(baseline, events) << "threads=" << threads;
     }
   }
@@ -89,11 +89,9 @@ TEST(TraceDeterminism, DriverEventFamiliesPresent) {
   EXPECT_GT(count(TraceEventKind::kPeelCommit), 0);
   EXPECT_GT(count(TraceEventKind::kColorCommit), 0);
   EXPECT_GT(count(TraceEventKind::kMisPick), 0);
-  // Per-node peeling rebuilds views after each layer's deactivations, so
-  // the cached run shows misses and invalidations; full hits are absorbed
-  // by the per-vertex decision memo and may legitimately be zero.
-  EXPECT_GT(count(TraceEventKind::kCacheMiss), 0);
-  EXPECT_GT(count(TraceEventKind::kCacheInvalidate), 0);
+  // Per-node peeling derives every active node's view from its own ball at
+  // each iteration: one decision per active node, and per-family forest
+  // builds from the view reconstruction inside the worker regions.
   EXPECT_GT(count(TraceEventKind::kForestBuild), 0);
 
   // Every vertex's color is committed exactly once.
